@@ -114,6 +114,8 @@ def cmd_regions(args) -> int:
     if args.phi_family:
         if not (has_explicit and has_implicit):
             raise ValueError("the image family needs a scheme with both parts")
+        if args.family_size < 1:
+            raise ValueError("--family-size must be at least 1")
         lam_curve = explicit_boundary(s, args.n_lambda)
         if args.nu is not None:
             lam_curve = restrict_curve(lam_curve, args.nu)
@@ -189,6 +191,8 @@ def cmd_verify(args) -> int:
 def cmd_converge(args) -> int:
     if args.format == "svg":
         raise ValueError("svg output is only available for the regions command")
+    if args.levels < 2:
+        raise ValueError("--levels must be at least 2 to fit an order")
     scheme_ids = [args.scheme] if args.scheme else list(BUILTIN_IDS)
     # advdiff defaults tie dt to the grid's Courant step so the finest
     # explicit eigenvalues stay inside the stability region

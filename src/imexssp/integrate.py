@@ -2,8 +2,8 @@
 
 The implicit stage of every step solves the shifted linear system
 (a_0 I - dt c_0 G) y_new = rhs. Implicit operators are restricted to linear
-ones, so the solve is direct: scalar division, a dense solve, or the cyclic
-tridiagonal fast path for periodic three-point stencils.
+ones, so the solve is direct: scalar division, a dense solve, or an FFT
+diagonalization for periodic stencils (circulant operators).
 """
 
 from __future__ import annotations
@@ -110,20 +110,28 @@ class DenseOperator:
 class CirculantOperator:
     """A periodic stencil operator: (T u)_j = sum_k w_k u_{j + o_k}.
 
-    Shifted solves use the cyclic tridiagonal path when the stencil fits in
-    {-1, 0, +1} and an FFT diagonalization otherwise.
+    Shifted solves diagonalize the operator by FFT: its eigenvalues are the
+    symbol on the grid 2 pi m / n, computed once. The shifted denominators
+    alpha - beta * symbol are kept for the most recent (alpha, beta) only.
     """
 
     def __init__(self, offsets, weights, n):
         self.offsets = tuple(int(o) for o in offsets)
         self.weights = tuple(float(w) for w in weights)
         self.n = int(n)
+        self._grid_symbol = None
+        self._shift = (None, None)  # ((alpha, beta), alpha - beta * grid symbol)
 
     def apply(self, v):
         out = np.zeros_like(v)
+        n = len(v)
         for o, w in zip(self.offsets, self.weights):
             if w != 0.0:
-                out += w * np.roll(v, -o)
+                # out_j += w v_{(j + o) mod n}, as two slices around the wrap
+                s = o % n
+                out[:n - s] += w * v[s:]
+                if s:
+                    out[n - s:] += w * v[:s]
         return out
 
     def symbol(self, phi):
@@ -135,19 +143,15 @@ class CirculantOperator:
         return acc if acc.shape else complex(acc)
 
     def solve_shifted(self, alpha, beta, rhs):
-        if all(o in (-1, 0, 1) for o in self.offsets):
-            w = {o: 0.0 for o in (-1, 0, 1)}
-            for o, wt in zip(self.offsets, self.weights):
-                w[o] += wt
-            n = self.n
-            sub = np.full(n, -beta * w[-1])
-            diag = np.full(n, alpha - beta * w[0])
-            sup = np.full(n, -beta * w[1])
-            return solve_cyclic_tridiagonal(sub, diag, sup, rhs)
-        eig = alpha - beta * self.symbol(2 * np.pi * np.arange(self.n) / self.n)
-        if np.abs(eig).min() < 1e-14 * max(1.0, np.abs(eig).max()):
-            raise StepFailureError("singular implicit system: circulant eigenvalue ~ 0")
-        x = np.fft.ifft(np.fft.fft(rhs) / eig)
+        key = (alpha, beta)
+        if self._shift[0] != key:
+            if self._grid_symbol is None:
+                self._grid_symbol = self.symbol(2 * np.pi * np.arange(self.n) / self.n)
+            eig = alpha - beta * self._grid_symbol
+            if np.abs(eig).min() < 1e-14 * max(1.0, np.abs(eig).max()):
+                raise StepFailureError("singular implicit system: circulant eigenvalue ~ 0")
+            self._shift = (key, eig)
+        x = np.fft.ifft(np.fft.fft(rhs) / self._shift[1])
         if not np.iscomplexobj(rhs):
             x = x.real
         return x
@@ -181,7 +185,9 @@ def solve_cyclic_tridiagonal(sub, diag, sup, rhs):
     sub[j] x_{j-1} + diag[j] x_j + sup[j] x_{j+1} = rhs[j] (indices mod n).
 
     sub[0] and sup[-1] are the corner entries. Thomas elimination plus a
-    Sherman-Morrison rank-one correction for the corners.
+    Sherman-Morrison rank-one correction for the corners. This is a general
+    variable-coefficient solver; CirculantOperator no longer uses it (its
+    constant-coefficient solves go through FFT).
     """
     sub = np.asarray(sub)
     diag = np.asarray(diag)

@@ -76,6 +76,11 @@ class CoefficientSet:
             raise ValueError(f"coefficient vectors must have length k+1 = {n}")
         if self.b[0] != 0:
             raise ValueError("b_0 must be zero: the scheme is explicit in f")
+        # the float view, built once; the *_array methods hand it out read-only
+        for name in ("a", "b", "c"):
+            arr = np.array([float(x) for x in getattr(self, name)])
+            arr.flags.writeable = False
+            object.__setattr__(self, f"_{name}_float", arr)
 
     @property
     def is_implicit(self) -> bool:
@@ -92,13 +97,13 @@ class CoefficientSet:
         return self
 
     def a_array(self) -> np.ndarray:
-        return np.array([float(x) for x in self.a])
+        return self._a_float
 
     def b_array(self) -> np.ndarray:
-        return np.array([float(x) for x in self.b])
+        return self._b_float
 
     def c_array(self) -> np.ndarray:
-        return np.array([float(x) for x in self.c])
+        return self._c_float
 
     def scaled(self, r) -> "CoefficientSet":
         """All three weight vectors multiplied by r (used by linearity checks)."""

@@ -320,6 +320,8 @@ def mu_map(s: CoefficientSet, lam: complex, theta: float):
 
 def mu_image(s: CoefficientSet, lam: complex, n: int = DEFAULT_N_THETA) -> BoundaryCurve:
     """Image of the unit circle under the implicit-eigenvalue map for fixed lambda."""
+    if n < 16:
+        raise ValueError("need at least 16 samples")
     polys = char_polys(s)
     if not polys.C.any():
         raise ValueError("scheme has no implicit part")
@@ -477,6 +479,8 @@ def imex_alpha_sweep(s: CoefficientSet, lambda_curve: BoundaryCurve,
     that modulus. With a large value (say 1e3) only the pole asymptotes
     constrain, which is the quantity the centred-scheme angle bounds describe.
     """
+    if n_theta < 16:
+        raise ValueError("need at least 16 samples")
     polys = char_polys(s)
     if not polys.C.any():
         raise ValueError("scheme has no implicit part")

@@ -83,6 +83,21 @@ class TestRegions:
         assert main(["regions", "--scheme", "rk4"]) == 2
         assert "unknown scheme id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_phi_family_size_below_one_rejected(self, tmp_path, capsys, size):
+        out = tmp_path / "family.csv"
+        code = main(["regions", "--scheme", "mcnab", "--phi-family",
+                     "--family-size", size, "--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phi_family_coarse_theta_rejected(self, capsys):
+        code = main(["regions", "--scheme", "mcnab", "--phi-family",
+                     "--n-lambda", "64", "--family-size", "2", "--n-theta", "4"])
+        assert code == 2
+        assert "at least 16 samples" in capsys.readouterr().err
+
 
 class TestAngles:
     def test_table_contents(self, tmp_path):
@@ -171,6 +186,14 @@ class TestConverge:
             "--cells", "32", "--levels", "3",
         ])
         assert float(rows[0]["fitted_order"]) == pytest.approx(2.0, abs=0.2)
+
+    @pytest.mark.parametrize("levels", ["1", "0"])
+    def test_levels_below_two_rejected(self, capsys, levels):
+        code = main(["converge", "--scheme", "mcnab", "--levels", levels])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "fitted_order" not in captured.out
 
     def test_blow_up_reported_cleanly(self, capsys):
         code = main(["converge", "--problem", "advdiff", "--scheme", "ssp3",

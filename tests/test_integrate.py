@@ -142,6 +142,72 @@ class TestOperators:
             np.linalg.solve(np.eye(2) - 0.25 * m, rhs))
 
 
+STENCILS = {
+    "3-point": ((-1, 0, 1), (1.0, -2.0, 1.0)),
+    "4-point": ((1, 0, -1, -2), (0.3, 0.5, -1.0, 0.2)),
+}
+
+
+def dense_circulant(op):
+    m = np.zeros((op.n, op.n))
+    for j in range(op.n):
+        for o, w in zip(op.offsets, op.weights):
+            m[j, (j + o) % op.n] += w
+    return m
+
+
+class TestCirculantFFTSolve:
+    @pytest.mark.parametrize("stencil", sorted(STENCILS))
+    @pytest.mark.parametrize("n", [3, 5, 12, 64])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_dense_solve(self, stencil, n, kind):
+        op = CirculantOperator(*STENCILS[stencil], n)
+        rng = np.random.default_rng(n)
+        rhs = rng.uniform(-1, 1, n)
+        if kind == "complex":
+            rhs = rhs + 1j * rng.uniform(-1, 1, n)
+        x = op.solve_shifted(2.0, 0.1, rhs)
+        assert np.iscomplexobj(x) == (kind == "complex")
+        expected = np.linalg.solve(2.0 * np.eye(n) - 0.1 * dense_circulant(op), rhs)
+        np.testing.assert_allclose(x, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("stencil", sorted(STENCILS))
+    def test_alternating_shifts_never_stale(self, stencil):
+        n = 12
+        op = CirculantOperator(*STENCILS[stencil], n)
+        dense = dense_circulant(op)
+        rng = np.random.default_rng(3)
+        pairs = [(1.5, 0.05), (1.0, 0.025)]
+        for i in range(6):
+            alpha, beta = pairs[i % 2]
+            rhs = rng.uniform(-1, 1, n)
+            expected = np.linalg.solve(alpha * np.eye(n) - beta * dense, rhs)
+            np.testing.assert_allclose(op.solve_shifted(alpha, beta, rhs), expected,
+                                       atol=1e-12)
+
+    def test_singular_shift_raises_every_time(self):
+        # 1 + 0.25 * symbol vanishes on the phi = pi mode of the 3-point stencil
+        op = CirculantOperator(*STENCILS["3-point"], 12)
+        rhs = np.ones(12)
+        for _ in range(2):
+            with pytest.raises(StepFailureError):
+                op.solve_shifted(1.0, -0.25, rhs)
+        x = op.solve_shifted(2.0, 0.1, rhs)
+        np.testing.assert_allclose(x, np.full(12, 0.5), atol=1e-14)
+        with pytest.raises(StepFailureError):
+            op.solve_shifted(1.0, -0.25, rhs)
+
+    @pytest.mark.parametrize("stencil", sorted(STENCILS))
+    @pytest.mark.parametrize("n", [3, 5, 64])
+    def test_apply_bit_identical_to_roll(self, stencil, n):
+        op = CirculantOperator(*STENCILS[stencil], n)
+        v = np.random.default_rng(n).uniform(-1, 1, n)
+        expected = np.zeros(n)
+        for o, w in zip(op.offsets, op.weights):
+            expected += w * np.roll(v, -o)
+        np.testing.assert_array_equal(op.apply(v), expected)
+
+
 class TestStep:
     def test_constant_preserved(self):
         h = ones_history(3)

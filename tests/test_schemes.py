@@ -210,3 +210,16 @@ class TestInvariants:
         assert s.params["beta"] == 0.25
         s = scheme_from_id("mcnab", mcnab_c=0.5)
         assert s.params["mcnab_c"] == 0.5
+
+
+class TestFloatView:
+    @pytest.mark.parametrize("sid", BUILTIN_IDS)
+    def test_arrays_built_once_and_read_only(self, sid):
+        s = scheme_from_id(sid)
+        for method, weights in ((s.a_array, s.a), (s.b_array, s.b), (s.c_array, s.c)):
+            arr = method()
+            assert method() is arr
+            assert not arr.flags.writeable
+            assert arr.tolist() == [float(x) for x in weights]
+            with pytest.raises(ValueError):
+                arr[0] = 1.0

@@ -296,6 +296,15 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="beta"):
             alpha_closed_form("implicit_centred", 3, 1.0)
 
+    def test_mu_image_needs_16_samples(self):
+        with pytest.raises(ValueError, match="16"):
+            mu_image(imex_scheme("biased", 3), -0.5, 15)
+
+    def test_sweep_needs_16_samples(self):
+        s = imex_scheme("biased", 3)
+        with pytest.raises(ValueError, match="16"):
+            imex_alpha_sweep(s, explicit_boundary(s, 64), 15)
+
     def test_sweep_empty_lambda_set(self):
         curve = BoundaryCurve([0.0, 0.5, 1.0], [0j, 0j, 0j], [True, True, True])
         with pytest.raises(ValueError, match="empty"):
