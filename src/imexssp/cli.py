@@ -180,6 +180,9 @@ def cmd_angles(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.format != "csv":
+        raise ValueError(f"{args.format} output is not available for the verify command; "
+                         "it prints a plain-text report")
     results = run_criteria(only=args.only)
     for r in results:
         print(r.line)

@@ -2,8 +2,10 @@
 
 The implicit stage of every step solves the shifted linear system
 (a_0 I - dt c_0 G) y_new = rhs. Implicit operators are restricted to linear
-ones, so the solve is direct: scalar division, a dense solve, or an FFT
-diagonalization for periodic stencils (circulant operators).
+ones, so the solve is direct: scalar or diagonal division, a dense solve, or
+an FFT diagonalization for periodic stencils (circulant operators). A
+diagonal scalar operator lets empirical_stability advance many scalar test
+problems as one system.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schemes import CoefficientSet
+from .schemes import CoefficientSet, finite_array
 
 __all__ = [
     "StepFailureError",
@@ -69,7 +71,8 @@ class ZeroOperator:
 
 
 class ScalarOperator:
-    """Multiplication by a (possibly complex) scalar."""
+    """Multiplication by a (possibly complex) scalar, or elementwise by an
+    array of them: a diagonal operator acting on a state of that length."""
 
     def __init__(self, coef):
         self.coef = coef
@@ -77,14 +80,25 @@ class ScalarOperator:
     def apply(self, v):
         return self.coef * v
 
+    def _shift(self, alpha, beta):
+        # builtin abs keeps the one-component case as cheap as plain floats
+        shifted = beta * self.coef
+        den = alpha - shifted
+        return den, abs(den) < 1e-14 * np.maximum(max(1.0, abs(alpha)), abs(shifted))
+
+    def singular(self, alpha, beta):
+        """Where the shifted coefficient alpha - beta * coef vanishes relative
+        to its terms: a NumPy bool, or a boolean array for an array coefficient."""
+        return self._shift(alpha, beta)[1]
+
     def solve_shifted(self, alpha, beta, rhs):
-        den = alpha - beta * self.coef
-        if abs(den) < 1e-14 * max(1.0, abs(alpha), abs(beta * self.coef)):
+        den, singular = self._shift(alpha, beta)
+        if singular.any():
             raise StepFailureError("singular implicit system: a_0 - dt c_0 mu ~ 0")
         return rhs / den
 
     def __bool__(self):
-        return self.coef != 0
+        return bool(np.any(self.coef != 0))
 
 
 class DenseOperator:
@@ -396,48 +410,54 @@ def integrate(problem: SplitProblem, s: CoefficientSet, t_end: float, dt: float,
     return Trajectory(np.array(times), states, diagnostics)
 
 
-def empirical_stability(s: CoefficientSet, lam: complex, mu: complex,
-                        n_steps: int = 800) -> bool:
+def empirical_stability(s: CoefficientSet, lam, mu, n_steps: int = 800):
     """Probe the scalar test problem y' = lam*y + mu*y with unit step size.
 
-    Starting data is the exact solution plus a small alternating perturbation
-    so every characteristic mode is excited at a known level; the scheme is
-    called stable when the max norm never passes 1e3 times the starting
-    scale. Away from the stability boundary this agrees with root_condition.
+    lam and mu broadcast against each other; every pair is one component of
+    a diagonal system that step() advances as a whole. Starting data is the
+    exact solution plus a small alternating perturbation so every
+    characteristic mode is excited at a known level; a pair is called stable
+    when its modulus never passes 1e3 times its starting scale. A pair whose
+    implicit stage a_0 - c_0 mu is singular is unstable from the start. A
+    pair that passes its threshold is retired (zeroed in the history) and
+    stepping stops once no pair is left. Away from the stability boundary
+    this agrees with root_condition. Scalar inputs give a bool, arrays a
+    boolean array of the broadcast shape.
     """
     if n_steps < 100:
         raise ValueError("need at least 100 steps")
-    from .problems import dahlquist
-
-    problem = dahlquist(lam, mu)
-    op = problem.operator
+    lam, mu = np.broadcast_arrays(finite_array(lam, "lambda"), finite_array(mu, "mu"))
+    shape = lam.shape
+    lam = lam.astype(complex).ravel()
+    mu = mu.astype(complex).ravel()
+    a0, c0 = s.a_array()[0], s.c_array()[0]
+    singular = ScalarOperator(mu).singular(a0, c0)  # dt = 1
+    op = LinearSplitOperator(ScalarOperator(lam),
+                             ScalarOperator(np.where(singular, 0.0, mu)), len(lam))
     rate = lam + mu
-    ys = []
-    for j in range(s.k):
-        val = np.exp(rate * j) + 1e-6 * (-1) ** j
-        ys.append(np.array([val], dtype=complex))
-    ys = ys[::-1]
+    ys = [np.exp(rate * j) + 1e-6 * (-1) ** j for j in range(s.k)][::-1]
+    threshold = 1e3 * np.maximum(1.0, np.abs(ys).max(axis=0))
+    live = ~singular
+    for y in ys:
+        y[singular] = 0.0
     h = History(
         k=s.k,
-        y=list(ys),
+        y=ys,
         f=[op.explicit.apply(y) for y in ys],
         g=[op.implicit.apply(y) for y in ys],
         t=float(s.k - 1),
         dt=1.0,
     )
-    scale = max(1.0, max(float(np.abs(y[0])) for y in ys))
-    threshold = 1e3 * scale
     for _ in range(n_steps):
-        try:
-            y = step(s, h, op)
-        except StepFailureError:
-            return False
-        m = float(np.abs(y[0]))
-        if not np.isfinite(m) or m > BLOWUP_LIMIT:
-            return False
-        if m > threshold:
-            return False
-    return True
+        if not live.any():
+            break
+        m = np.abs(step(s, h, op))
+        out = ~np.isfinite(m) | (m > BLOWUP_LIMIT) | (m > threshold)
+        if out.any():
+            live &= ~out
+            for level in (*h.y, *h.f, *h.g):
+                level[out] = 0.0
+    return bool(live[0]) if shape == () else live.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,14 @@ def polyval(coeffs, z):
     return np.polynomial.polynomial.polyval(z, np.asarray(coeffs))
 
 
+def finite_array(x, name: str) -> np.ndarray:
+    """x as an array; ValueError naming it if any entry is nan or infinite."""
+    arr = np.asarray(x)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def char_polys(s: CoefficientSet) -> CharPolys:
     """Characteristic polynomials (A, B, C) of a coefficient set."""
     return CharPolys(s.a_array(), s.b_array(), s.c_array())

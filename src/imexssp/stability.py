@@ -1,10 +1,11 @@
 """Linear stability analysis for IMEX multistep schemes.
 
 Provides the explicit/implicit boundary loci, the map from unit-circle points
-to implicit eigenvalues for a fixed explicit eigenvalue, a characteristic-root
-stability oracle, wedge-angle measurement with closed-form counterparts, and
-the sweep machinery that measures the worst-case implicit wedge over a family
-of explicit eigenvalues.
+to implicit eigenvalues for a fixed explicit eigenvalue, a batched
+characteristic-root stability oracle (root_verdicts, with root_condition as
+its one-pair form), an array winding-number count, wedge-angle measurement
+with closed-form counterparts, and the sweep machinery that measures the
+worst-case implicit wedge over a family of explicit eigenvalues.
 
 All stability statements use the transformed variable z = 1/zeta: a (lambda,
 mu) pair is stable when every root of A(z) - lambda*B(z) - mu*C(z) lies on or
@@ -18,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schemes import CoefficientSet, char_polys, polyval
+from .schemes import CoefficientSet, char_polys, finite_array, polyval
 
 __all__ = [
     "BoundaryCurve",
     "WedgeAngle",
     "StabilityVerdict",
+    "RootVerdicts",
     "ROOT_TOLERANCE",
     "ROOT_CLUSTER_TOLERANCE",
     "POLE_TOLERANCE",
@@ -34,6 +36,7 @@ __all__ = [
     "lambda_at",
     "mu_map",
     "mu_image",
+    "root_verdicts",
     "root_condition",
     "measure_alpha",
     "alpha_closed_form",
@@ -337,34 +340,60 @@ def mu_image(s: CoefficientSet, lam: complex, n: int = DEFAULT_N_THETA) -> Bound
 # Root condition
 # ---------------------------------------------------------------------------
 
-def characteristic_roots(s: CoefficientSet, lam: complex, mu: complex) -> np.ndarray:
-    """All roots zeta of the characteristic polynomial for the given eigenvalue pair."""
+@dataclass(frozen=True)
+class RootVerdicts:
+    """Root-condition outcomes for a batch of (lambda, mu) pairs, one array
+    per StabilityVerdict field, all of the broadcast shape of the inputs."""
+
+    stable: np.ndarray
+    max_root_modulus: np.ndarray
+    multiple_root_on_boundary: np.ndarray
+    degenerate_leading: np.ndarray
+
+
+def root_verdicts(s: CoefficientSet, lams, mus) -> RootVerdicts:
+    """Apply the root condition to every pair of the broadcast lams x mus.
+
+    A pair is stable iff all zeta-roots lie in the closed unit disk, strictly
+    inside for (numerically) multiple roots. The roots come from one stacked
+    eigenvalue call on companion matrices built exactly as np.roots builds
+    them; a leading coefficient below 1e-12 of the coefficient scale is
+    flagged degenerate (unstable, infinite modulus) and gets no roots.
+    """
+    lams = finite_array(lams, "lambda")
+    mus = finite_array(mus, "mu")
     polys = char_polys(s)
-    d = polys.A.astype(complex) - lam * polys.B - mu * polys.C
-    return np.roots(d)  # d[0] multiplies zeta**k
+    d = polys.A.astype(complex) - lams[..., None] * polys.B - mus[..., None] * polys.C
+    shape = d.shape[:-1]
+    d = d.reshape(-1, d.shape[-1])
+    scale = np.maximum(1.0, np.abs(d).max(axis=1))
+    degenerate = np.abs(d[:, 0]) < 1e-12 * scale
+    max_mod = np.full(len(d), math.inf)
+    multiple = np.zeros(len(d), dtype=bool)
+    rows = d[~degenerate]
+    k = d.shape[1] - 1
+    # companion matrices: first row -p[1:]/p[0], ones on the subdiagonal
+    companion = np.zeros((len(rows), k, k), dtype=complex)
+    companion[:, 0, :] = -rows[:, 1:] / rows[:, :1]
+    companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    moduli = np.abs(roots)
+    max_mod[~degenerate] = moduli.max(axis=1)
+    close = np.abs(roots[:, :, None] - roots[:, None, :]) <= ROOT_CLUSTER_TOLERANCE
+    on_circle = np.maximum(moduli[:, :, None], moduli[:, None, :]) \
+        >= 1.0 - ROOT_CLUSTER_TOLERANCE
+    multiple[~degenerate] = np.triu(close & on_circle, 1).any(axis=(1, 2))
+    stable = (max_mod <= 1.0 + ROOT_TOLERANCE) & ~multiple
+    return RootVerdicts(stable.reshape(shape), max_mod.reshape(shape),
+                        multiple.reshape(shape), degenerate.reshape(shape))
 
 
 def root_condition(s: CoefficientSet, lam: complex, mu: complex) -> StabilityVerdict:
-    """Apply the root condition: stable iff all zeta-roots lie in the closed unit disk,
-    strictly inside for (numerically) multiple roots."""
-    polys = char_polys(s)
-    d = polys.A.astype(complex) - lam * polys.B - mu * polys.C
-    scale = max(1.0, float(np.max(np.abs(d))))
-    if abs(d[0]) < 1e-12 * scale:
-        return StabilityVerdict(False, math.inf, False, degenerate_leading=True)
-    roots = np.roots(d)
-    if len(roots) == 0:
-        return StabilityVerdict(True, 0.0, False)
-    moduli = np.abs(roots)
-    max_mod = float(moduli.max())
-    multiple = False
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) <= ROOT_CLUSTER_TOLERANCE and \
-                    max(moduli[i], moduli[j]) >= 1.0 - ROOT_CLUSTER_TOLERANCE:
-                multiple = True
-    stable = (max_mod <= 1.0 + ROOT_TOLERANCE) and not multiple
-    return StabilityVerdict(stable, max_mod, multiple)
+    """The root condition for one (lambda, mu) pair: a one-row root_verdicts."""
+    v = root_verdicts(s, lam, mu)
+    return StabilityVerdict(bool(v.stable), float(v.max_root_modulus),
+                            bool(v.multiple_root_on_boundary),
+                            degenerate_leading=bool(v.degenerate_leading))
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +677,38 @@ def min_image_real_part(s: CoefficientSet, n_lambda: int = 512,
 # Image-exterior classification (winding-number test)
 # ---------------------------------------------------------------------------
 
-def image_winding_number(values: np.ndarray, mu: complex) -> int:
-    """Winding number of a sampled closed curve around mu."""
-    v = values[np.isfinite(values)] - mu
-    w = np.angle(np.roll(v, -1) / v).sum() / (2 * np.pi)
-    return int(np.rint(w))
+_WINDING_BLOCK = 64
+
+
+def image_winding_number(values: np.ndarray, mu):
+    """Winding number of a sampled closed curve around mu (scalar or array).
+
+    The finite samples, in order and closed up, form a polyline; each of its
+    edges that crosses the ray from mu towards +Re counts +1 upwards and -1
+    downwards (the signed-crossing rule of Hormann & Agathos, 2001). An array
+    of mu is processed in blocks of 64 so memory stays bounded; a scalar mu
+    gives an int.
+    """
+    v = values[np.isfinite(values)]
+    x0, y0 = v.real, v.imag
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    mu = np.asarray(mu, dtype=complex)
+    flat = mu.ravel()
+    out = np.empty(len(flat), dtype=int)
+    for start in range(0, len(flat), _WINDING_BLOCK):
+        m = flat[start:start + _WINDING_BLOCK]
+        below0 = y0 <= m.imag[:, None]
+        below1 = y1 <= m.imag[:, None]
+        # the few (mu, edge) pairs whose edge straddles the line Im = Im mu
+        rows, e = np.nonzero(below0 != below1)
+        mx, my = m.real[rows], m.imag[rows]
+        # > 0 where mu lies left of the edge (x0, y0) -> (x1, y1)
+        side = (x1[e] - x0[e]) * (my - y0[e]) - (mx - x0[e]) * (y1[e] - y0[e])
+        upward = below0[rows, e]
+        crossing = (upward & (side > 0)).astype(int) - (~upward & (side < 0))
+        out[start:start + _WINDING_BLOCK] = np.bincount(rows, weights=crossing,
+                                                         minlength=len(m))
+    return int(out[0]) if mu.ndim == 0 else out.reshape(mu.shape)
 
 
 def _poles_inside_disk(s: CoefficientSet) -> int:

@@ -37,7 +37,7 @@ from .stability import (
     mu_image,
     mu_map,
     restrict_curve,
-    root_condition,
+    root_verdicts,
     zero_expansion_coefficients,
 )
 
@@ -261,26 +261,31 @@ def check_angle_table(scale: float = 1.0) -> CheckResult:
 # 7. Root condition against the winding-number exterior test
 # ---------------------------------------------------------------------------
 
+def _near_curve(curve_pts: np.ndarray, mus: np.ndarray, band: float) -> np.ndarray:
+    """Mask of the mus that lie within band of some curve sample."""
+    block = 64  # mus per distance matrix, so memory stays bounded
+    near = np.empty(len(mus), dtype=bool)
+    for start in range(0, len(mus), block):
+        dist = np.abs(curve_pts[None, :] - mus[start:start + block, None])
+        near[start:start + block] = dist.min(axis=1) < band
+    return near
+
+
 def check_root_vs_winding(scale: float = 1.0) -> CheckResult:
     band = 1e-3
     s = imex_scheme("biased", 3)
     mu_re = np.linspace(-2.0, 6.0, 50)
     mu_im = np.linspace(-4.0, 4.0, 50)
+    grid = np.array([complex(re, im) for re in mu_re for im in mu_im])
     worst_rate = 1.0
     details = []
     for lam in (0.0, -0.5, -1.0 + 0.2j):
         image = mu_image(s, lam, 4096)
-        curve_pts = image.finite_values()
-        agree = total = 0
-        for re in mu_re:
-            for im in mu_im:
-                mu = complex(re, im)
-                if np.min(np.abs(curve_pts - mu)) < band:
-                    continue
-                total += 1
-                by_roots = root_condition(s, lam, mu).stable
-                by_winding = image_winding_number(image.values, mu) == 0
-                agree += int(by_roots == by_winding)
+        mus = grid[~_near_curve(image.finite_values(), grid, band)]
+        by_roots = root_verdicts(s, lam, mus).stable
+        by_winding = image_winding_number(image.values, mus) == 0
+        total = len(mus)
+        agree = int(np.sum(by_roots == by_winding))
         rate = agree / total
         worst_rate = min(worst_rate, rate)
         details.append(f"lam={lam}: {agree}/{total}")
@@ -346,23 +351,45 @@ def check_tvd_ssp(scale: float = 1.0, n_cells: int = 256, n_steps: int = 200) ->
 # 10. Root condition against empirical integration
 # ---------------------------------------------------------------------------
 
+# draws per root_verdicts call while root-vs-empirical selects its pairs
+_VERDICT_CHUNK = 1000
+
+
+def _root_vs_empirical_pairs(s, n_pairs: int, margin: float):
+    """The seeded (lambda, mu) draws whose root modulus is outside the margin.
+
+    Up to 100 * n_pairs draws are made from seed 2024, four uniforms each in
+    the order Re lambda, Im lambda, Re mu, Im mu: the same stream as scalar
+    Generator.uniform calls. The first n_pairs draws outside the margin are
+    kept; returns their lambdas, mus and root-condition stability.
+    """
+    rng = np.random.default_rng(2024)
+    low = np.array([-2.5, -2.0, -4.0, -3.0])
+    high = np.array([0.5, 2.0, 1.0, 3.0])
+    lams, mus, stable = [], [], []
+    n_draws = 100 * n_pairs
+    n_kept = 0
+    for start in range(0, n_draws, _VERDICT_CHUNK):
+        u = low + (high - low) * rng.random((min(_VERDICT_CHUNK, n_draws - start), 4))
+        lam = u[:, 0] + 1j * u[:, 1]
+        mu = u[:, 2] + 1j * u[:, 3]
+        v = root_verdicts(s, lam, mu)
+        outside = np.abs(v.max_root_modulus - 1.0) > margin
+        lams.append(lam[outside])
+        mus.append(mu[outside])
+        stable.append(v.stable[outside])
+        n_kept += int(outside.sum())
+        if n_kept >= n_pairs:
+            break
+    return tuple(np.concatenate(x)[:n_pairs] for x in (lams, mus, stable))
+
+
 def check_root_vs_empirical(scale: float = 1.0, n_pairs: int = 200) -> CheckResult:
     margin = 0.05
-    rng = np.random.default_rng(2024)
     s = imex_scheme("biased", 3)
-    agree = 0
-    tried = 0
-    checked = 0
-    while checked < n_pairs and tried < 100 * n_pairs:
-        tried += 1
-        lam = complex(rng.uniform(-2.5, 0.5), rng.uniform(-2.0, 2.0))
-        mu = complex(rng.uniform(-4.0, 1.0), rng.uniform(-3.0, 3.0))
-        verdict = root_condition(s, lam, mu)
-        if abs(verdict.max_root_modulus - 1.0) <= margin:
-            continue
-        checked += 1
-        if empirical_stability(s, lam, mu, 800) == verdict.stable:
-            agree += 1
+    lams, mus, stable = _root_vs_empirical_pairs(s, n_pairs, margin)
+    checked = len(lams)
+    agree = int(np.sum(empirical_stability(s, lams, mus, 800) == stable))
     passed = checked == n_pairs and agree == n_pairs
     return CheckResult(
         "root-vs-empirical", passed,
@@ -379,16 +406,13 @@ def check_advection_symbol(scale: float = 1.0) -> CheckResult:
     cfg = problems.AdvectionDiffusionConfig(courant=0.35)
     s3 = ssp_explicit(3)
     phis = np.linspace(-math.pi, math.pi, 2048, endpoint=False)
-    unstable = 0
-    for phi in phis:
-        lam = problems.fourier_symbol_kappa(cfg, phi)
-        if not root_condition(s3, lam, 0.0).stable:
-            unstable += 1
+    lams = problems.fourier_symbol_kappa(cfg, phis)
+    unstable = int(np.sum(~root_verdicts(s3, lams, 0.0).stable))
     small = 10.0 ** np.linspace(-3, -0.5, 20)
     sym = problems.fourier_symbol_kappa(cfg, small)
     expansion_err = np.abs(sym + 1j * cfg.courant * small)
     third_order = bool(np.all(expansion_err <= cfg.courant * small**4 * (1 + scale)))
-    max_im = float(np.max(np.abs(problems.fourier_symbol_kappa(cfg, phis).imag)))
+    max_im = float(np.max(np.abs(lams.imag)))
     passed = unstable == 0 and third_order
     return CheckResult(
         "advection-symbol", passed,

@@ -160,6 +160,17 @@ class TestVerify:
         assert "FAIL negative-control" in out
         assert "0/1 criteria passed" in out
 
+    @pytest.mark.parametrize("fmt", ["svg", "json"])
+    def test_non_text_format_rejected(self, capsys, fmt):
+        assert main(["verify", "--only", "centred-angle", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {fmt} output is not available for the verify command" in captured.err
+        assert captured.out == ""
+
+    def test_csv_format_prints_the_report(self, capsys):
+        assert main(["verify", "--only", "centred-angle", "--format", "csv"]) == 0
+        assert "PASS centred-angle-closed-form" in capsys.readouterr().out
+
 
 class TestConverge:
     def test_mcnab_second_order(self, tmp_path):
