@@ -9,13 +9,16 @@ minimal standalone SVG.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import problems
+from .csvfmt import FLOAT, fill, fmt, format_rows
 from .integrate import BlowUpError, StepFailureError, integrate
 from .schemes import BUILTIN_IDS, REGISTRY_IDS, scheme_from_id
 from .stability import (
@@ -31,16 +34,19 @@ from . import __version__
 __all__ = ["main"]
 
 
-def _fmt(x) -> str:
-    return f"{x:.12g}"
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The file handle an artifact goes to: stdout, or the --out path."""
+    if out is None or out == "-":
+        yield sys.stdout
+    else:
+        with open(out, "w") as fh:
+            yield fh
 
 
 def _write_output(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +113,30 @@ def _svg_render(curves, width=640, height=640, clip=8.0) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _phi_family_csv(family, fh) -> None:
+    """Write (lambda, image) pairs as rows lambda_re,lambda_im,theta,re,im,is_pole,
+    one chunk per lambda.
+
+    An image's theta grid and pole pattern depend on C and n_theta only, not
+    on lambda, so the theta cells and pole rows are formatted once into a
+    template whose re/im cells stay %-slots; an image on another grid gets a
+    template of its own.
+    """
+    fh.write("lambda_re,lambda_im,theta,re,im,is_pole\n")
+    grid = None
+    for lam, img in family:
+        if grid is None or not (np.array_equal(img.theta, grid.theta)
+                                and np.array_equal(img.is_pole, grid.is_pole)):
+            grid = img
+            thetas = format_rows(f"{FLOAT}\n", img.theta).splitlines()
+            rows = ["", *(f"{th},nan,nan,1\n" if p else f"{th},{FLOAT},{FLOAT},0\n"
+                          for th, p in zip(thetas, img.is_pole))]
+        finite = img.values[~img.is_pole]
+        # joining on the prefix puts it in front of every row
+        template = f"{fmt(lam.real)},{fmt(lam.imag)},".join(rows)
+        fh.write(fill(template, finite.real, finite.imag))
+
+
 def cmd_regions(args) -> int:
     s = scheme_from_id(args.scheme, beta=args.beta, mcnab_c=args.mcnab_c)
     has_explicit = any(s.b)
@@ -120,25 +150,14 @@ def cmd_regions(args) -> int:
         if args.nu is not None:
             lam_curve = restrict_curve(lam_curve, args.nu)
         idx = np.linspace(0, len(lam_curve.theta) - 1, args.family_size).astype(int)
-        buf = io.StringIO()
-        buf.write("lambda_re,lambda_im,theta,re,im,is_pole\n")
-        for i in idx:
-            if lam_curve.is_pole[i]:
-                continue
-            lam = lam_curve.values[i]
-            img = mu_image(s, lam, args.n_theta)
-            for th, v, p in zip(img.theta, img.values, img.is_pole):
-                if p:
-                    buf.write(f"{_fmt(lam.real)},{_fmt(lam.imag)},{_fmt(th)},nan,nan,1\n")
-                else:
-                    buf.write(f"{_fmt(lam.real)},{_fmt(lam.imag)},{_fmt(th)},"
-                              f"{_fmt(v.real)},{_fmt(v.imag)},0\n")
+        family = [(lam_curve.values[i], mu_image(s, lam_curve.values[i], args.n_theta))
+                  for i in idx if not lam_curve.is_pole[i]]
         if args.format == "svg":
-            curves = [(f"lam={lam_curve.values[i]:.3g}", mu_image(s, lam_curve.values[i], args.n_theta))
-                      for i in idx if not lam_curve.is_pole[i]]
-            _write_output(_svg_render(curves), args.out)
+            _write_output(_svg_render([(f"lam={lam:.3g}", img) for lam, img in family]),
+                          args.out)
         else:
-            _write_output(buf.getvalue(), args.out)
+            with _output(args.out) as fh:
+                _phi_family_csv(family, fh)
         return 0
 
     kind = args.kind
@@ -172,9 +191,9 @@ def cmd_angles(args) -> int:
     buf = io.StringIO()
     buf.write("scheme,params,alpha_measured,alpha_closed_form,alpha_reference\n")
     for row in rows:
-        closed = "" if row["alpha_closed_form"] is None else _fmt(row["alpha_closed_form"])
-        buf.write(f"{row['scheme']},{row['params']},{_fmt(row['alpha_measured'])},"
-                  f"{closed},{_fmt(row['alpha_reference'])}\n")
+        closed = "" if row["alpha_closed_form"] is None else fmt(row["alpha_closed_form"])
+        buf.write(f"{row['scheme']},{row['params']},{fmt(row['alpha_measured'])},"
+                  f"{closed},{fmt(row['alpha_reference'])}\n")
     _write_output(buf.getvalue(), args.out)
     return 0
 
@@ -184,10 +203,10 @@ def cmd_verify(args) -> int:
         raise ValueError(f"{args.format} output is not available for the verify command; "
                          "it prints a plain-text report")
     results = run_criteria(only=args.only)
-    for r in results:
-        print(r.line)
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
+    _write_output("".join(f"{r.line}\n" for r in results)
+                  + f"{len(results) - len(failed)}/{len(results)} criteria passed\n",
+                  args.out)
     return 1 if failed else 0
 
 
@@ -224,8 +243,8 @@ def cmd_converge(args) -> int:
             traj = integrate(prob, s, t_end, dt)
             errs.append(float(np.max(np.abs(traj.states[-1] - prob.exact(t_end)))))
         order = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
-        for dt, err in zip(dts, errs):
-            buf.write(f"{sid},{args.problem},{_fmt(dt)},{_fmt(err)},{_fmt(order)}\n")
+        buf.write(format_rows(f"{sid},{args.problem},{FLOAT},{FLOAT},{FLOAT}\n",
+                              dts, errs, [order] * len(dts)))
     _write_output(buf.getvalue(), args.out)
     return 0
 
@@ -244,12 +263,12 @@ def cmd_tvd(args) -> int:
     traj = integrate(prob, s, args.steps * dt, dt, on_blowup="truncate")
     tv = traj.diagnostics["total_variation"]
     growth = np.diff(tv)
-    buf = io.StringIO()
-    buf.write("t,max_norm,total_variation,tv_growth\n")
-    for i, t in enumerate(traj.times):
-        g = "" if i == 0 else _fmt(growth[i - 1])
-        buf.write(f"{_fmt(t)},{_fmt(traj.diagnostics['max_norm'][i])},{_fmt(tv[i])},{g}\n")
-    _write_output(buf.getvalue(), args.out)
+    t, max_norm = traj.times, traj.diagnostics["max_norm"]
+    _write_output("t,max_norm,total_variation,tv_growth\n"
+                  + format_rows(f"{FLOAT},{FLOAT},{FLOAT},\n", t[:1], max_norm[:1], tv[:1])
+                  + format_rows(f"{FLOAT},{FLOAT},{FLOAT},{FLOAT}\n",
+                                t[1:], max_norm[1:], tv[1:], growth),
+                  args.out)
     print(f"max per-step TV growth: {growth.max():.6g} "
           f"over {len(tv) - 1} recorded steps", file=sys.stderr)
     return 0
@@ -259,6 +278,16 @@ def cmd_tvd(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="imexssp",
@@ -267,14 +296,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def output(p):
+        p.add_argument("--format", choices=("csv", "svg", "json"), default="csv")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+
     def common(p, scheme_default=None):
         p.add_argument("--scheme", default=scheme_default,
                        help=f"scheme id; one of: {', '.join(REGISTRY_IDS)}")
-        p.add_argument("--beta", type=float, default=0.0,
+        p.add_argument("--beta", type=_finite_float, default=0.0,
                        help="centred-integrator parameter in [0, 1/2]")
-        p.add_argument("--mcnab-c", type=float, default=0.125, dest="mcnab_c")
-        p.add_argument("--format", choices=("csv", "svg", "json"), default="csv")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--mcnab-c", type=_finite_float, default=0.125, dest="mcnab_c")
+        output(p)
 
     p = sub.add_parser("regions", help="boundary-locus curves as CSV or SVG")
     common(p, scheme_default="ssp3")
@@ -289,13 +321,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_regions)
 
     p = sub.add_parser("angles", help="the eight-row wedge-angle comparison table")
-    common(p)
+    output(p)
     p.add_argument("--n-theta", type=int, default=4096, dest="n_theta")
     p.add_argument("--n-lambda", type=int, default=1024, dest="n_lambda")
     p.set_defaults(func=cmd_angles)
 
     p = sub.add_parser("verify", help="run the acceptance suite (exit 0 iff all pass)")
-    common(p)
+    output(p)
     p.add_argument("--only", default=None,
                    help=f"substring filter; criteria: {', '.join(CRITERIA)}")
     p.set_defaults(func=cmd_verify)

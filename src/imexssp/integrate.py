@@ -33,8 +33,6 @@ __all__ = [
     "start",
     "integrate",
     "empirical_stability",
-    "trajectory_to_csv",
-    "diagnostics_to_csv",
 ]
 
 BLOWUP_LIMIT = 1e12
@@ -458,34 +456,3 @@ def empirical_stability(s: CoefficientSet, lam, mu, n_steps: int = 800):
             for level in (*h.y, *h.f, *h.g):
                 level[out] = 0.0
     return bool(live[0]) if shape == () else live.reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def _fmt(x) -> str:
-    return f"{x:.12g}"
-
-
-def trajectory_to_csv(traj: Trajectory, fh) -> None:
-    """Rows t,<state components...> (complex states expand to re/im pairs)."""
-    dim = len(traj.states[0])
-    if np.iscomplexobj(traj.states[0]):
-        cols = ",".join(f"y{i}_re,y{i}_im" for i in range(dim))
-        fh.write(f"t,{cols}\n")
-        for t, u in zip(traj.times, traj.states):
-            vals = ",".join(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in u)
-            fh.write(f"{_fmt(t)},{vals}\n")
-    else:
-        cols = ",".join(f"y{i}" for i in range(dim))
-        fh.write(f"t,{cols}\n")
-        for t, u in zip(traj.times, traj.states):
-            fh.write(f"{_fmt(t)},{','.join(_fmt(v) for v in u)}\n")
-
-
-def diagnostics_to_csv(traj: Trajectory, fh) -> None:
-    fh.write("t,max_norm,total_variation\n")
-    for t, mn, tv in zip(traj.times, traj.diagnostics["max_norm"],
-                         traj.diagnostics["total_variation"]):
-        fh.write(f"{_fmt(t)},{_fmt(mn)},{_fmt(tv)}\n")

@@ -70,6 +70,23 @@ class TestRegions:
         assert code == 0
         assert out.read_text().count("polyline") >= 4
 
+    def test_svg_phi_family_maps_each_lambda_once(self, tmp_path, monkeypatch):
+        from imexssp import cli
+        calls = []
+        mu_image = cli.mu_image
+
+        def counting_mu_image(*args):
+            calls.append(args[1])
+            return mu_image(*args)
+
+        monkeypatch.setattr(cli, "mu_image", counting_mu_image)
+        out = tmp_path / "family.svg"
+        assert main(["regions", "--scheme", "imex-biased-k3", "--phi-family",
+                     "--n-theta", "256", "--n-lambda", "64", "--family-size", "4",
+                     "--format", "svg", "--out", str(out)]) == 0
+        assert len(calls) == 4
+        assert out.read_text().startswith("<svg")
+
     def test_kind_override(self, tmp_path):
         rows, _ = run_csv(tmp_path, [
             "regions", "--scheme", "imex-biased-k3", "--kind", "implicit",
@@ -170,6 +187,48 @@ class TestVerify:
     def test_csv_format_prints_the_report(self, capsys):
         assert main(["verify", "--only", "centred-angle", "--format", "csv"]) == 0
         assert "PASS centred-angle-closed-form" in capsys.readouterr().out
+
+    def test_out_writes_the_report(self, tmp_path, capsys):
+        assert main(["verify", "--only", "centred-angle"]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "report.txt"
+        assert main(["verify", "--only", "centred-angle", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+        assert printed.endswith("1/1 criteria passed\n")
+
+
+class TestRejectedOptions:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--scheme", "ssp3"],
+        ["verify", "--beta", "0.4"],
+        ["verify", "--mcnab-c", "0.5"],
+        ["angles", "--scheme", "mcnab"],
+        ["angles", "--beta", "0.4"],
+        ["angles", "--mcnab-c", "0.5"],
+    ])
+    def test_ignored_option_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("option", ["--beta", "--mcnab-c"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_parameter_rejected(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["regions", "--scheme", "imex-centred-k3", f"{option}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and option in err and "finite" in err
+
+    def test_malformed_parameter_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--beta", "half"])
+        assert exc.value.code == 2
+        assert "--beta" in capsys.readouterr().err
 
 
 class TestConverge:

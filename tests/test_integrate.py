@@ -1,5 +1,4 @@
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -13,15 +12,13 @@ from imexssp.integrate import (
     ScalarOperator,
     StepFailureError,
     ZeroOperator,
-    diagnostics_to_csv,
     empirical_stability,
     integrate,
     solve_cyclic_tridiagonal,
     start,
     step,
-    trajectory_to_csv,
 )
-from imexssp.problems import dahlquist, upwind_advection, GridSpec
+from imexssp.problems import dahlquist, GridSpec
 from imexssp.schemes import (
     BUILTIN_IDS,
     char_polys,
@@ -413,27 +410,3 @@ class TestEmpiricalStability:
     def test_needs_enough_steps(self):
         with pytest.raises(ValueError, match="100"):
             empirical_stability(ssp_explicit(3), -1.0, 0.0, n_steps=10)
-
-
-class TestCsvExport:
-    def test_trajectory_csv_real(self):
-        grid = GridSpec(8)
-        prob = upwind_advection(grid, 1.0)
-        traj = integrate(prob, scheme_from_id("euler"), 4 * grid.dx, grid.dx)
-        buf = io.StringIO()
-        trajectory_to_csv(traj, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "t," + ",".join(f"y{i}" for i in range(8))
-        assert len(lines) == len(traj.times) + 1
-
-    def test_trajectory_csv_complex(self):
-        traj = integrate(dahlquist(-1.0, 0.0), ssp_explicit(3), 0.5, 0.1)
-        buf = io.StringIO()
-        trajectory_to_csv(traj, buf)
-        assert buf.getvalue().splitlines()[0] == "t,y0_re,y0_im"
-
-    def test_diagnostics_csv(self):
-        traj = integrate(dahlquist(-1.0, 0.0), ssp_explicit(3), 0.5, 0.1)
-        buf = io.StringIO()
-        diagnostics_to_csv(traj, buf)
-        assert buf.getvalue().splitlines()[0] == "t,max_norm,total_variation"

@@ -19,7 +19,6 @@ from imexssp.stability import (
     alpha_closed_form,
     curve_to_csv,
     explicit_boundary,
-    grid_to_csv,
     image_winding_number,
     image_exterior_stable,
     imex_alpha_sweep,
@@ -385,12 +384,3 @@ class TestCsv:
         buf = io.StringIO()
         curve_to_csv(curve, buf)
         assert ",nan,nan,1" in buf.getvalue()
-
-    def test_grid_csv_format(self):
-        s = imex_scheme("biased", 3)
-        rows = [(0j, -1.0 + 0j, root_condition(s, 0, -1))]
-        buf = io.StringIO()
-        grid_to_csv(rows, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "lambda_re,lambda_im,mu_re,mu_im,stable,max_root_modulus"
-        assert lines[1].split(",")[4] in ("0", "1")
