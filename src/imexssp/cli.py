@@ -137,7 +137,26 @@ def _phi_family_csv(family, fh) -> None:
         fh.write(fill(template, finite.real, finite.imag))
 
 
+def _check_format(args, command: str, *accepted: str) -> None:
+    """ValueError unless the command writes args.format."""
+    if args.format not in accepted:
+        raise ValueError(f"{args.format} output is not available for the {command} command")
+
+
+def _check_cells(args) -> None:
+    if args.cells < 8:
+        raise ValueError(f"--cells must be at least 8, got {args.cells}")
+
+
+def _check_samples(args) -> None:
+    for option, value in (("--n-theta", args.n_theta), ("--n-lambda", args.n_lambda)):
+        if value < 16:
+            raise ValueError(f"{option} needs at least 16 samples, got {value}")
+
+
 def cmd_regions(args) -> int:
+    _check_format(args, "regions", "csv", "svg")
+    _check_samples(args)
     s = scheme_from_id(args.scheme, beta=args.beta, mcnab_c=args.mcnab_c)
     has_explicit = any(s.b)
     has_implicit = any(s.c)
@@ -178,14 +197,17 @@ def cmd_regions(args) -> int:
     return 0
 
 
+def _json_value(v):
+    """A table cell as JSON: complex numbers become [re, im]."""
+    return [v.real, v.imag] if isinstance(v, complex) else v
+
+
 def cmd_angles(args) -> int:
-    if args.format == "svg":
-        raise ValueError("svg output is only available for the regions command")
+    _check_format(args, "angles", "csv", "json")
+    _check_samples(args)
     rows = angle_table(n_lambda=args.n_lambda, n_theta=args.n_theta)
     if args.format == "json":
-        payload = [
-            {k: (None if v is None else v) for k, v in row.items()} for row in rows
-        ]
+        payload = [{k: _json_value(v) for k, v in row.items()} for row in rows]
         _write_output(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
     buf = io.StringIO()
@@ -199,9 +221,7 @@ def cmd_angles(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.format != "csv":
-        raise ValueError(f"{args.format} output is not available for the verify command; "
-                         "it prints a plain-text report")
+    _check_format(args, "verify", "csv")
     results = run_criteria(only=args.only)
     failed = [r for r in results if not r.passed]
     _write_output("".join(f"{r.line}\n" for r in results)
@@ -211,14 +231,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    if args.format == "svg":
-        raise ValueError("svg output is only available for the regions command")
+    _check_format(args, "converge", "csv")
     if args.levels < 2:
         raise ValueError("--levels must be at least 2 to fit an order")
     scheme_ids = [args.scheme] if args.scheme else list(BUILTIN_IDS)
     # advdiff defaults tie dt to the grid's Courant step so the finest
     # explicit eigenvalues stay inside the stability region
     if args.problem == "advdiff":
+        _check_cells(args)
         base_dt = args.dt if args.dt is not None else args.sigma / args.cells
         t_end = args.t_end if args.t_end is not None else 128 * base_dt
     else:
@@ -250,8 +270,10 @@ def cmd_converge(args) -> int:
 
 
 def cmd_tvd(args) -> int:
-    if args.format == "svg":
-        raise ValueError("svg output is only available for the regions command")
+    _check_format(args, "tvd", "csv")
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
+    _check_cells(args)
     grid = problems.GridSpec(args.cells)
     s = scheme_from_id(args.scheme, beta=args.beta, mcnab_c=args.mcnab_c)
     if args.data == "step":
@@ -288,6 +310,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="imexssp",
@@ -313,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("auto", "explicit", "implicit"), default="auto")
     p.add_argument("--phi-family", action="store_true", dest="phi_family",
                    help="image family over explicit boundary eigenvalues")
-    p.add_argument("--nu", type=float, default=None,
+    p.add_argument("--nu", type=_positive_float, default=None,
                    help="clip the explicit boundary to |Im| <= nu")
     p.add_argument("--n-theta", type=int, default=4096, dest="n_theta")
     p.add_argument("--n-lambda", type=int, default=1024, dest="n_lambda")
@@ -335,18 +371,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="error-vs-dt table with fitted order")
     common(p)
     p.add_argument("--problem", choices=("dahlquist", "advdiff"), default="dahlquist")
-    p.add_argument("--dt", type=float, default=None,
+    p.add_argument("--dt", type=_positive_float, default=None,
                    help="coarsest step (default 1/40, or sigma/cells for advdiff)")
-    p.add_argument("--t-end", type=float, default=None, dest="t_end")
+    p.add_argument("--t-end", type=_positive_float, default=None, dest="t_end")
     p.add_argument("--levels", type=int, default=4)
     p.add_argument("--cells", type=int, default=64)
-    p.add_argument("--sigma", type=float, default=0.35)
-    p.add_argument("--dnum", type=float, default=0.1)
+    p.add_argument("--sigma", type=_positive_float, default=0.35)
+    p.add_argument("--dnum", type=_nonnegative_float, default=0.1)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("tvd", help="total-variation series for upwind advection")
     common(p, scheme_default="ssp3")
-    p.add_argument("--sigma", type=float, default=0.5)
+    p.add_argument("--sigma", type=_positive_float, default=0.5)
     p.add_argument("--cells", type=int, default=256)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--data", choices=("step", "staircase"), default="step")

@@ -1,11 +1,12 @@
 """Linear stability analysis for IMEX multistep schemes.
 
 Provides the explicit/implicit boundary loci, the map from unit-circle points
-to implicit eigenvalues for a fixed explicit eigenvalue, a batched
-characteristic-root stability oracle (root_verdicts, with root_condition as
-its one-pair form), an array winding-number count, wedge-angle measurement
-with closed-form counterparts, and the sweep machinery that measures the
-worst-case implicit wedge over a family of explicit eigenvalues.
+to implicit eigenvalues for a fixed explicit eigenvalue (one kernel serves
+every image evaluation), a batched characteristic-root stability oracle
+(root_verdicts, with root_condition as its one-pair form), an array
+winding-number count, wedge-angle measurement with closed-form counterparts,
+and the sweep that finds the worst-case implicit wedge over a family of
+explicit eigenvalues, with the sample that attains it.
 
 All stability statements use the transformed variable z = 1/zeta: a (lambda,
 mu) pair is stable when every root of A(z) - lambda*B(z) - mu*C(z) lies on or
@@ -25,6 +26,7 @@ from .schemes import CoefficientSet, char_polys, finite_array, polyval
 __all__ = [
     "BoundaryCurve",
     "WedgeAngle",
+    "SweepResult",
     "StabilityVerdict",
     "RootVerdicts",
     "ROOT_TOLERANCE",
@@ -44,10 +46,8 @@ __all__ = [
     "imex_alpha_sweep",
     "restrict_curve",
     "zero_expansion_coefficients",
-    "min_zero_slope_ratio",
     "min_image_real_part",
     "image_winding_number",
-    "image_exterior_stable",
     "curve_to_csv",
 ]
 
@@ -194,49 +194,77 @@ def _theta_grid(n: int, pole_angles: np.ndarray) -> np.ndarray:
     return theta[keep]
 
 
-def _eval_den(den: np.ndarray, theta: np.ndarray, pole_angles) -> np.ndarray:
-    """Evaluate the denominator at e^(i theta), switching to a Taylor form
-    anchored at each pole inside a small window around it.
+class _Denominator:
+    """A locus denominator on the unit circle, with its circle roots found
+    and its pole-anchored Taylor coefficients computed once.
 
     Direct evaluation loses all relative accuracy near a circle root through
-    cancellation; the anchored form sum_m D_m/m! * w^m with
-    w = e^(i theta) - e^(i theta_p) = 2i sin(d/2) e^(i(theta_p + d/2)) keeps
-    full relative accuracy down to the smallest zoom offsets (the m=0 term is
-    dropped: it is zero at the pole up to rounding junk).
+    cancellation. Within _POLE_WINDOW of each root the anchored form
+    sum_m D_m/m! * w^m with w = e^(i theta) - e^(i theta_p)
+    = 2i sin(d/2) e^(i(theta_p + d/2)) is used instead; it keeps full relative
+    accuracy down to the smallest zoom offsets (the m=0 term is dropped: it
+    is zero at the pole up to rounding junk).
     """
-    den = np.asarray(den, dtype=complex)
-    vals = polyval(den, np.exp(1j * theta))
-    for theta_p in pole_angles:
-        d = _wrap_diff(theta, theta_p)
-        mask = np.abs(d) < _POLE_WINDOW
-        if not mask.any():
-            continue
-        dm = d[mask]
-        w = 2j * np.sin(dm / 2) * np.exp(1j * (theta_p + dm / 2))
-        z_p = np.exp(1j * theta_p)
-        deriv = den
-        acc = np.zeros(len(dm), dtype=complex)
-        wpow = np.ones(len(dm), dtype=complex)
-        fact = 1.0
-        for m in range(1, len(den)):
-            deriv = np.polynomial.polynomial.polyder(deriv)
-            wpow = wpow * w
-            fact *= m
-            acc += polyval(deriv, z_p) / fact * wpow
-        vals[mask] = acc
-    return vals
+
+    def __init__(self, coeffs):
+        self.coeffs = np.asarray(coeffs, dtype=complex)
+        self.pole_angles = _unit_circle_pole_angles(self.coeffs)
+        self._taylor = []
+        for theta_p in self.pole_angles:
+            z_p = np.exp(1j * theta_p)
+            deriv, fact, terms = self.coeffs, 1.0, []
+            for m in range(1, len(self.coeffs)):
+                deriv = np.polynomial.polynomial.polyder(deriv)
+                fact *= m
+                terms.append(polyval(deriv, z_p) / fact)
+            self._taylor.append((theta_p, terms))
+
+    def __call__(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The denominator at z = e^(i theta)."""
+        vals = polyval(self.coeffs, z)
+        for theta_p, terms in self._taylor:
+            d = _wrap_diff(theta, theta_p)
+            mask = np.abs(d) < _POLE_WINDOW
+            if not mask.any():
+                continue
+            dm = d[mask]
+            w = 2j * np.sin(dm / 2) * np.exp(1j * (theta_p + dm / 2))
+            acc = np.zeros(len(dm), dtype=complex)
+            wpow = np.ones(len(dm), dtype=complex)
+            for term in terms:
+                wpow = wpow * w
+                acc += term * wpow
+            vals[mask] = acc
+        return vals
 
 
-def _eval_locus(num, den, theta, pole_angles):
-    den_vals = _eval_den(den, theta, pole_angles)
-    pole = np.abs(den_vals) < POLE_TOLERANCE
-    safe = np.where(pole, 1.0, den_vals)
-    values = polyval(num, np.exp(1j * theta)) / safe
-    values[pole] = np.nan + 1j * np.nan
-    return values, pole
+class _CircleGrid:
+    """Circle angles theta (any shape) with a denominator evaluated on them.
+
+    This is where a map's poles are decided: a sample whose denominator is
+    below POLE_TOLERANCE in modulus is a pole, and every quotient on the grid
+    reads nan there.
+    """
+
+    def __init__(self, den: _Denominator, theta):
+        self.theta = np.asarray(theta, dtype=float)
+        self.z = np.exp(1j * self.theta)
+        den_vals = den(self.theta, self.z)
+        self.pole = np.abs(den_vals) < POLE_TOLERANCE
+        self._safe = np.where(self.pole, 1.0, den_vals)
+
+    def quotient(self, num_vals: np.ndarray) -> np.ndarray:
+        values = num_vals / self._safe
+        values[np.broadcast_to(self.pole, values.shape)] = np.nan + 1j * np.nan
+        return values
 
 
-def _refine_locus(num, den, pole_angles, theta, values, pole, max_passes=8):
+def _eval_locus(num, den: _Denominator, theta):
+    grid = _CircleGrid(den, theta)
+    return grid.quotient(polyval(num, grid.z)), grid.pole
+
+
+def _refine_locus(num, den: _Denominator, theta, values, pole, max_passes=8):
     """Insert midpoints where adjacent finite samples differ too much.
 
     The thresholds (0.02 in modulus, relative to the local scale, and 0.05 in
@@ -254,7 +282,7 @@ def _refine_locus(num, den, pole_angles, theta, values, pole, max_passes=8):
         if not bad.any():
             break
         mid = 0.5 * (theta[:-1][bad] + theta[1:][bad])
-        mv, mp = _eval_locus(num, den, mid, pole_angles)
+        mv, mp = _eval_locus(num, den, mid)
         theta = np.concatenate([theta, mid])
         values = np.concatenate([values, mv])
         pole = np.concatenate([pole, mp])
@@ -264,12 +292,12 @@ def _refine_locus(num, den, pole_angles, theta, values, pole, max_passes=8):
 
 
 def _locus(num, den, n: int, refine: bool = True) -> BoundaryCurve:
-    pole_angles = _unit_circle_pole_angles(den)
-    theta = _theta_grid(n, pole_angles)
-    values, pole = _eval_locus(num, den, theta, pole_angles)
+    den = _Denominator(den)
+    theta = _theta_grid(n, den.pole_angles)
+    values, pole = _eval_locus(num, den, theta)
     if refine:
-        theta, values, pole = _refine_locus(num, den, pole_angles, theta, values, pole)
-    return BoundaryCurve(theta, values, pole, pole_angles=tuple(pole_angles))
+        theta, values, pole = _refine_locus(num, den, theta, values, pole)
+    return BoundaryCurve(theta, values, pole, pole_angles=tuple(den.pole_angles))
 
 
 def explicit_boundary(s: CoefficientSet, n: int = DEFAULT_N_THETA) -> BoundaryCurve:
@@ -293,15 +321,63 @@ def implicit_boundary(s: CoefficientSet, n: int = DEFAULT_N_THETA) -> BoundaryCu
 
 
 def lambda_at(s: CoefficientSet, theta) -> complex:
-    """Explicit boundary point at a single angle."""
+    """Explicit boundary point at a single angle (or an array of them)."""
+    theta = finite_array(theta, "theta")
     polys = char_polys(s)
-    z = np.exp(1j * np.asarray(theta))
+    z = np.exp(1j * theta)
     return polyval(polys.A, z) / polyval(polys.B, z)
 
 
 # ---------------------------------------------------------------------------
-# Implicit-eigenvalue map for fixed lambda
+# Implicit-eigenvalue map for fixed lambda: the one image-map kernel
 # ---------------------------------------------------------------------------
+
+# image samples per block when many lambdas are mapped (128 kB of complex)
+_BLOCK_SAMPLES = 8192
+
+
+class _ImageMap:
+    """The implicit-eigenvalue map mu = (A - lam B)/C of one scheme.
+
+    Built once per scheme: the polynomials, and C as a _Denominator with its
+    circle poles and their Taylor coefficients. Every image evaluation in
+    this module goes through __call__ (mu_map, mu_image, min_image_real_part,
+    imex_alpha_sweep), so the numerator is always evaluated the same way: by
+    Horner's rule on the coefficients of A - lam B, exactly as
+    numpy.polynomial.polynomial.polyval does.
+    """
+
+    def __init__(self, s: CoefficientSet):
+        polys = char_polys(s)
+        if not polys.C.any():
+            raise ValueError("scheme has no implicit part")
+        self.A = polys.A.astype(complex)
+        self.B = polys.B
+        self.C = _Denominator(polys.C)
+
+    def on(self, theta) -> _CircleGrid:
+        """A theta set with C evaluated on it, reusable for many lambdas."""
+        return _CircleGrid(self.C, theta)
+
+    def __call__(self, lams, grid: _CircleGrid) -> np.ndarray:
+        """mu for lams and grid.theta broadcast against each other; nan at poles."""
+        num = self.A - np.asarray(lams)[..., None] * self.B
+        z = grid.z
+        acc = num[..., -1] + z * 0
+        for i in range(2, num.shape[-1] + 1):
+            acc = num[..., -i] + acc * z
+        return grid.quotient(acc)
+
+    def blocks(self, lams: np.ndarray, theta: np.ndarray):
+        """(rows, theta, mu) per block of about _BLOCK_SAMPLES samples; theta
+        is one 1-D set for every lambda, or one row per lambda."""
+        shared = self.on(theta) if theta.ndim == 1 else None
+        step = max(1, _BLOCK_SAMPLES // theta.shape[-1])
+        for start in range(0, len(lams), step):
+            rows = slice(start, start + step)
+            grid = shared or self.on(theta[rows])
+            yield rows, grid.theta, self(lams[rows, None], grid)
+
 
 def mu_map(s: CoefficientSet, lam: complex, theta: float):
     """Implicit eigenvalue that places a characteristic root at e^(i theta).
@@ -309,31 +385,24 @@ def mu_map(s: CoefficientSet, lam: complex, theta: float):
     Returns None where the implicit polynomial C vanishes (a pole of the map).
     With lam=0 this is the implicit boundary locus pointwise.
     """
-    polys = char_polys(s)
-    if not polys.C.any():
-        raise ValueError("scheme has no implicit part")
-    pole_angles = _unit_circle_pole_angles(polys.C)
-    den = complex(_eval_den(polys.C, np.atleast_1d(float(theta)), pole_angles)[0])
-    if abs(den) < POLE_TOLERANCE:
+    lam = finite_array(lam, "lambda")
+    theta = finite_array(theta, "theta")
+    image = _ImageMap(s)
+    grid = image.on(np.atleast_1d(theta.astype(float)))
+    if grid.pole[0]:
         return None
-    z = complex(np.exp(1j * theta))
-    num = complex(polyval(polys.A, z)) - lam * complex(polyval(polys.B, z))
-    return num / den
+    return complex(image(lam, grid)[0])
 
 
 def mu_image(s: CoefficientSet, lam: complex, n: int = DEFAULT_N_THETA) -> BoundaryCurve:
     """Image of the unit circle under the implicit-eigenvalue map for fixed lambda."""
     if n < 16:
         raise ValueError("need at least 16 samples")
-    polys = char_polys(s)
-    if not polys.C.any():
-        raise ValueError("scheme has no implicit part")
-    num = polys.A.astype(complex)
-    num[: len(polys.B)] = num[: len(polys.B)] - lam * polys.B
-    pole_angles = _unit_circle_pole_angles(polys.C)
-    theta = _theta_grid(n, pole_angles)
-    values, pole = _eval_locus(num, polys.C, theta, pole_angles)
-    return BoundaryCurve(theta, values, pole, pole_angles=tuple(pole_angles))
+    lam = finite_array(lam, "lambda")
+    image = _ImageMap(s)
+    grid = image.on(_theta_grid(n, image.C.pole_angles))
+    return BoundaryCurve(grid.theta, image(lam, grid), grid.pole,
+                         pole_angles=tuple(image.C.pole_angles))
 
 
 # ---------------------------------------------------------------------------
@@ -492,69 +561,170 @@ def alpha_closed_form(variant: str, k: int, beta, nu=None) -> WedgeAngle:
     raise ValueError(f"unknown variant: {variant!r}")
 
 
+# The sweep's coarse scan maps every _LAMBDA_STRIDE-th lambda over
+# _COARSE_THETA circle angles; its _REFINE_CELLS best local minima are refined
+# by _GOLDEN_STEPS golden-section steps. The refinement keeps _ANCHOR_HOLE away
+# from the poles and from each lambda's own curve parameter: there the minimum
+# is a limit (asymptote or zero-crossing slope) that the zoom samples carry,
+# and rounding noise in mu, growing towards the anchor, would decide.
+_COARSE_THETA = 512
+_LAMBDA_STRIDE = 8
+_REFINE_CELLS = 8
+_GOLDEN_STEPS = 50
+_ANCHOR_HOLE = 2e-6
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    """Worst-case wedge of imex_alpha_sweep and the sample attaining it.
+
+    alpha and tan_alpha are WedgeAngle.from_tan of the least |Im mu| / -Re mu.
+    The witness (theta_star, lam, theta, mu) is the explicit eigenvalue, its
+    curve parameter, the circle angle and the image there; None when nothing
+    constrains (alpha = pi/2). n_evals counts image samples; resolution is
+    the theta width of the final golden-section brackets.
+    """
+
+    alpha: float
+    tan_alpha: float
+    theta_star: float | None
+    lam: complex | None
+    theta: float | None
+    mu: complex | None
+    n_evals: int
+    resolution: float
+
+
+class _Worst:
+    """The least ratio |Im mu| / -Re mu offered so far, and its sample."""
+
+    def __init__(self):
+        self.ratio = math.inf
+        self.at = None  # (lambda index, theta, mu)
+        self.n_evals = 0
+
+    def offer(self, at, theta, mu: np.ndarray) -> np.ndarray:
+        """Ratios of mu at (lambda indices at, theta), broadcast to mu's shape;
+        inf where a sample does not constrain (pole, Re mu >= -ORIGIN_TOLERANCE)."""
+        neg = -mu.real
+        constrains = neg > ORIGIN_TOLERANCE
+        r = np.where(constrains, np.abs(mu.imag) / np.where(constrains, neg, 1.0), np.inf)
+        self.n_evals += r.size
+        i = np.unravel_index(np.argmin(r), r.shape)
+        if r[i] < self.ratio:
+            self.ratio = float(r[i])
+            self.at = (int(np.broadcast_to(at, r.shape)[i]),
+                       float(np.broadcast_to(theta, r.shape)[i]), complex(mu[i]))
+        return r
+
+
+def _golden_min(f, lo: np.ndarray, hi: np.ndarray, steps: int) -> None:
+    """Golden-section search (Brent 1973, ch. 5) on every bracket at once:
+    f maps one abscissa per bracket to values, and records what it sees."""
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        left = fc < fd
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        x = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+
+
 def imex_alpha_sweep(s: CoefficientSet, lambda_curve: BoundaryCurve,
-                     n_theta: int = DEFAULT_N_THETA, block: int = 64,
-                     min_modulus: float = 0.0) -> WedgeAngle:
+                     n_theta: int = DEFAULT_N_THETA) -> SweepResult:
     """Worst-case implicit wedge angle over a family of explicit eigenvalues.
 
     For every finite lambda sample the unit circle is mapped to the implicit
     eigenvalue plane and the admissible wedge is measured; the infimum over
-    the family is returned. The theta grid carries zoom samples around the
-    poles of the map, and each lambda adds zoom samples around its own curve
-    parameter, where the image crosses zero when lambda lies on the locus.
+    the family is returned with its witness. Samples are ranked by
+    |Im mu| / -Re mu, and atan is taken once, of the winner. The result is
+    as tight as mapping every lambda over the uniform n_theta grid (up to
+    rounding) without doing so:
 
-    min_modulus > 0 restricts the measurement to image samples with at least
-    that modulus. With a large value (say 1e3) only the pole asymptotes
-    constrain, which is the quantity the centred-scheme angle bounds describe.
-
-    The lambdas are mapped ``block`` at a time; the result does not depend on
-    the block size. At the default 64, one block (64 x ~4.1k complex samples,
-    4 MB) and its masked copies stay far below the memory a CLI run holds for
-    its output.
+    1. every lambda is mapped at the zoom samples around the poles of the map
+       and around its own curve parameter (where the image crosses zero when
+       lambda lies on the locus);
+    2. every _LAMBDA_STRIDE-th lambda is mapped over a coarse subset of the
+       n_theta grid;
+    3. each lambda near the best local minima of that scan is mapped over
+       the coarse grid, then at the n_theta grid angles of its best coarse
+       cell, and the best of those is refined by golden section between its
+       grid neighbours.
     """
     if n_theta < 16:
         raise ValueError("need at least 16 samples")
-    polys = char_polys(s)
-    if not polys.C.any():
-        raise ValueError("scheme has no implicit part")
+    image = _ImageMap(s)
     keep = ~lambda_curve.is_pole
     lams = lambda_curve.values[keep]
     lam_thetas = lambda_curve.theta[keep]
     if len(lams) == 0:
         raise ValueError("lambda set is empty")
+    worst = _Worst()
 
-    pole_angles = _unit_circle_pole_angles(polys.C)
-    theta = _theta_grid(n_theta, pole_angles)
-    z = np.exp(1j * theta)
-    A = polyval(polys.A, z)
-    B = polyval(polys.B, z)
-    C = _eval_den(polys.C, theta, pole_angles)
-    pole = np.abs(C) < POLE_TOLERANCE
-    C_safe = np.where(pole, 1.0, C)
+    def ratios(at, theta):
+        r = np.empty((len(at), theta.shape[-1]))
+        for rows, th, mu in image.blocks(lams[at], theta):
+            r[rows] = worst.offer(at[rows, None], th, mu)
+        return r
 
-    def min_angle(values):
-        if min_modulus > 0.0:
-            values = np.where(np.abs(values) >= min_modulus, values, np.nan)
-        return _min_angle(values)
+    # 1. zoom samples
+    index = np.arange(len(lams))
+    poles = image.C.pole_angles
+    if len(poles):
+        ratios(index, _wrap_angle(poles[:, None] + _POLE_ZOOM_OFFSETS).ravel())
+    ratios(index, _wrap_angle(lam_thetas[:, None] + _ZERO_ZOOM_OFFSETS))
 
-    alpha = math.pi / 2
-    for start in range(0, len(lams), block):
-        lam = lams[start:start + block, None]
-        phi = (A[None, :] - lam * B[None, :]) / C_safe[None, :]
-        phi[:, pole] = np.nan
-        alpha = min(alpha, min_angle(phi.ravel()))
+    # 2. coarse scan
+    dense = np.linspace(-np.pi, np.pi, n_theta, endpoint=False)
+    n_coarse = min(_COARSE_THETA, n_theta)
+    coarse_at = np.arange(n_coarse) * n_theta // n_coarse
+    rows = index[::_LAMBDA_STRIDE]
+    scan = ratios(rows, dense[coarse_at])
 
-        # local zoom around each lambda's own parameter angle
-        th_extra = _wrap_angle(lam_thetas[start:start + block, None]
-                               + _ZERO_ZOOM_OFFSETS[None, :])
-        z_e = np.exp(1j * th_extra)
-        C_e = polyval(polys.C, z_e)
-        pole_e = np.abs(C_e) < POLE_TOLERANCE
-        phi_e = (polyval(polys.A, z_e) - lam * polyval(polys.B, z_e)) \
-            / np.where(pole_e, 1.0, C_e)
-        phi_e[pole_e] = np.nan
-        alpha = min(alpha, min_angle(phi_e.ravel()))
-    return WedgeAngle.from_alpha(alpha)
+    # 3. local minima: no larger than any of the eight neighbours (theta wraps)
+    lo = np.minimum(scan, np.minimum(np.roll(scan, 1, 1), np.roll(scan, -1, 1)))
+    padded = np.pad(lo, ((1, 1), (0, 0)), constant_values=np.inf)
+    lo = np.minimum(lo, np.minimum(padded[:-2], padded[2:]))
+    cells = np.flatnonzero(np.isfinite(scan) & (scan <= lo))
+    cells = cells[np.argsort(scan.flat[cells], kind="stable")[:_REFINE_CELLS]]
+    #    and the lambdas between their row's neighbours (np.unique would
+    #    import numpy.ma, about 1 MB, so a mask takes their union)
+    window = np.zeros(len(lams), dtype=bool)
+    window[np.clip(rows[cells // n_coarse, None] + np.arange(1 - _LAMBDA_STRIDE, _LAMBDA_STRIDE),
+                   0, len(lams) - 1)] = True
+    at = np.flatnonzero(window)
+
+    # 4. each of those lambdas: its best coarse cell, the n_theta grid angles
+    #    from the cell's left to right neighbour, and golden section between
+    #    the best grid angle's neighbours
+    r = ratios(at, dense[coarse_at])
+    live = np.isfinite(r).any(axis=1)
+    at, best = at[live], np.argmin(r[live], axis=1)
+    theta = dense[(coarse_at[best - 1, None] + np.arange(2 * -(-n_theta // n_coarse) + 1))
+                  % n_theta]
+    centre = theta[np.arange(len(at)), np.argmin(ratios(at, theta), axis=1)]
+
+    def ratio_at(x):
+        x = _wrap_angle(x)
+        mu = image(lams[at], image.on(x))
+        near = np.abs(_wrap_diff(x, lam_thetas[at])) < _ANCHOR_HOLE
+        for theta_p in poles:
+            near |= np.abs(_wrap_diff(x, theta_p)) < _ANCHOR_HOLE
+        mu[near] = np.nan
+        return worst.offer(at, x, mu)
+
+    h = 2 * np.pi / n_theta
+    if len(at):
+        _golden_min(ratio_at, centre - h, centre + h, _GOLDEN_STEPS)
+    w = WedgeAngle.from_tan(worst.ratio)
+    i, theta, mu = worst.at or (None, None, None)
+    return SweepResult(w.alpha, w.tan_alpha,
+                       None if i is None else float(lam_thetas[i]),
+                       None if i is None else complex(lams[i]), theta, mu,
+                       worst.n_evals, 2 * h * _INV_PHI ** _GOLDEN_STEPS)
 
 
 def restrict_curve(curve: BoundaryCurve, nu: float) -> BoundaryCurve:
@@ -646,39 +816,18 @@ def zero_expansion_coefficients(k: int, theta_star: float):
     raise ValueError(f"unsupported step count: k={k}")
 
 
-def min_zero_slope_ratio(n: int = 4096) -> float:
-    """Infimum over crossing angles of |imag slope / real slope| for the 4-step
-    biased IMEX scheme; its arctangent estimates the scheme's wedge angle."""
-    theta = np.linspace(-np.pi, np.pi, n, endpoint=False)
-    s1, s3, s4 = np.sin(theta), np.sin(3 * theta), np.sin(4 * theta)
-    c1, c3, c4 = np.cos(theta), np.cos(3 * theta), np.cos(4 * theta)
-    re = s1 - 3.0 * s3 + 2.0 * s4
-    im = 6.0 + c1 + 3.0 * c3 + 2.0 * c4
-    mask = np.abs(re) > 1e-12
-    return float(np.min(np.abs(im[mask] / re[mask])))
-
-
 def min_image_real_part(s: CoefficientSet, n_lambda: int = 512,
                         n_theta: int = 512) -> float:
     """Minimum real part of the implicit-eigenvalue image over a full
     (lambda on the explicit boundary) x (circle point) grid."""
-    polys = char_polys(s)
-    th_star = np.linspace(-np.pi, np.pi, n_lambda, endpoint=False)
-    z_star = np.exp(1j * th_star)
-    lam = polyval(polys.A, z_star) / polyval(polys.B, z_star)
+    image = _ImageMap(s)
+    lams = lambda_at(s, np.linspace(-np.pi, np.pi, n_lambda, endpoint=False))
     theta = np.linspace(-np.pi, np.pi, n_theta, endpoint=False)
-    z = np.exp(1j * theta)
-    A = polyval(polys.A, z)
-    B = polyval(polys.B, z)
-    C = polyval(polys.C, z)
-    pole = np.abs(C) < POLE_TOLERANCE
-    phi = (A[None, :] - lam[:, None] * B[None, :]) / np.where(pole, 1.0, C)[None, :]
-    phi[:, pole] = np.nan
-    return float(np.nanmin(phi.real))
+    return float(min(np.nanmin(mu.real) for *_, mu in image.blocks(lams, theta)))
 
 
 # ---------------------------------------------------------------------------
-# Image-exterior classification (winding-number test)
+# Winding numbers
 # ---------------------------------------------------------------------------
 
 _WINDING_BLOCK = 64
@@ -713,29 +862,6 @@ def image_winding_number(values: np.ndarray, mu):
         out[start:start + _WINDING_BLOCK] = np.bincount(rows, weights=crossing,
                                                          minlength=len(m))
     return int(out[0]) if mu.ndim == 0 else out.reshape(mu.shape)
-
-
-def _poles_inside_disk(s: CoefficientSet) -> int:
-    coeffs = np.trim_zeros(char_polys(s).C.astype(complex), "b")
-    if len(coeffs) < 2:
-        return 0
-    roots = np.roots(coeffs[::-1])
-    return int(np.sum(np.abs(roots) < 1.0 - 1e-9))
-
-
-def image_exterior_stable(s: CoefficientSet, lam: complex, mu: complex,
-                          image: BoundaryCurve | None = None,
-                          n_theta: int = DEFAULT_N_THETA) -> bool:
-    """Classify (lam, mu) as stable when mu lies outside the image of the unit
-    disk, decided by the winding number of the sampled image curve.
-
-    By the argument principle the winding number around mu equals the count of
-    characteristic roots inside the disk minus the count of implicit-polynomial
-    roots inside, so "outside" means winding == -(poles inside).
-    """
-    if image is None:
-        image = mu_image(s, lam, n_theta)
-    return image_winding_number(image.values, mu) == -_poles_inside_disk(s)
 
 
 # ---------------------------------------------------------------------------

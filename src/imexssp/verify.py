@@ -184,47 +184,35 @@ def check_zero_slope_expansion(scale: float = 1.0, n_samples: int = 32) -> Check
 # ---------------------------------------------------------------------------
 
 def angle_table(n_lambda: int = 1024, n_theta: int = 4096):
-    """The eight comparison rows: honest sweep measurement, closed form where
-    a closed form exists, and the reference value each row is compared to."""
+    """The eight comparison rows: honest sweep measurement with the sample
+    that attains it, closed form where a closed form exists, and the
+    reference value each row is compared to."""
     nu = 1.0 / 3.0
     rows = []
 
-    def sweep(s, lam_curve):
-        return imex_alpha_sweep(s, lam_curve, n_theta)
-
-    s = imex_scheme("biased", 3)
-    rows.append({
-        "scheme": "imex-biased-k3", "params": "",
-        "alpha_measured": sweep(s, explicit_boundary(ssp_explicit(3), n_lambda)).alpha,
-        "alpha_closed_form": None, "alpha_reference": math.pi / 2,
-    })
-    s = imex_scheme("biased", 4)
-    rows.append({
-        "scheme": "imex-biased-k4", "params": "",
-        "alpha_measured": sweep(s, explicit_boundary(ssp_explicit(4), n_lambda)).alpha,
-        "alpha_closed_form": None, "alpha_reference": 0.23 * math.pi,
-    })
-    for k, ref in ((3, 0.25 * math.pi), (4, 0.15 * math.pi)):
-        lam_curve = restrict_curve(explicit_boundary(ssp_explicit(k), 2 * n_lambda), nu)
+    def row(scheme, params, s, lam_curve, closed, reference):
+        w = imex_alpha_sweep(s, lam_curve, n_theta)
         rows.append({
-            "scheme": f"imex-centred-k{k}", "params": "beta=0 nu=1/3",
-            "alpha_measured": sweep(imex_scheme("centred", k, 0.0), lam_curve).alpha,
-            "alpha_closed_form": alpha_closed_form("imex_centred", k, 0.0, nu).alpha,
-            "alpha_reference": ref,
+            "scheme": scheme, "params": params, "alpha_measured": w.alpha,
+            "alpha_closed_form": closed, "alpha_reference": reference,
+            "witness_theta_star": w.theta_star, "witness_lambda": w.lam,
+            "witness_theta": w.theta, "witness_mu": w.mu,
+            "n_evals": w.n_evals, "resolution": w.resolution,
         })
+
+    row("imex-biased-k3", "", imex_scheme("biased", 3),
+        explicit_boundary(ssp_explicit(3), n_lambda), None, math.pi / 2)
+    row("imex-biased-k4", "", imex_scheme("biased", 4),
+        explicit_boundary(ssp_explicit(4), n_lambda), None, 0.23 * math.pi)
+    for k, ref in ((3, 0.25 * math.pi), (4, 0.15 * math.pi)):
+        row(f"imex-centred-k{k}", "beta=0 nu=1/3", imex_scheme("centred", k, 0.0),
+            restrict_curve(explicit_boundary(ssp_explicit(k), 2 * n_lambda), nu),
+            alpha_closed_form("imex_centred", k, 0.0, nu).alpha, ref)
     s = imex_bdf2()
-    rows.append({
-        "scheme": "imex-bdf2", "params": "",
-        "alpha_measured": sweep(s, explicit_boundary(s, n_lambda)).alpha,
-        "alpha_closed_form": None, "alpha_reference": 0.31 * math.pi,
-    })
+    row("imex-bdf2", "", s, explicit_boundary(s, n_lambda), None, 0.31 * math.pi)
     for c, ref in ((0.0, 0.0), (0.125, 0.12 * math.pi), (0.5, 0.23 * math.pi)):
         s = mcnab(c)
-        rows.append({
-            "scheme": "mcnab", "params": f"c={c}",
-            "alpha_measured": sweep(s, explicit_boundary(s, n_lambda)).alpha,
-            "alpha_closed_form": None, "alpha_reference": ref,
-        })
+        row("mcnab", f"c={c}", s, explicit_boundary(s, n_lambda), None, ref)
     return rows
 
 
