@@ -261,7 +261,7 @@ def cmd_converge(args) -> int:
         errs = []
         for dt in dts:
             traj = integrate(prob, s, t_end, dt)
-            errs.append(float(np.max(np.abs(traj.states[-1] - prob.exact(t_end)))))
+            errs.append(float(np.max(np.abs(traj.final - prob.exact(t_end)))))
         order = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
         buf.write(format_rows(f"{sid},{args.problem},{FLOAT},{FLOAT},{FLOAT}\n",
                               dts, errs, [order] * len(dts)))

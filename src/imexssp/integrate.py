@@ -2,8 +2,8 @@
 
 The implicit stage of every step solves the shifted linear system
 (a_0 I - dt c_0 G) y_new = rhs. Implicit operators are restricted to linear
-ones, so the solve is direct: scalar or diagonal division, a dense solve, or
-an FFT diagonalization for periodic stencils (circulant operators). A
+ones, so the solve is direct: scalar or diagonal division, or an FFT
+diagonalization for periodic stencils (circulant operators). A
 diagonal scalar operator lets empirical_stability advance many scalar test
 problems as one system.
 """
@@ -11,6 +11,7 @@ problems as one system.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,6 @@ __all__ = [
     "BlowUpError",
     "ZeroOperator",
     "ScalarOperator",
-    "DenseOperator",
     "CirculantOperator",
     "LinearSplitOperator",
     "SplitProblem",
@@ -97,26 +97,6 @@ class ScalarOperator:
 
     def __bool__(self):
         return bool(np.any(self.coef != 0))
-
-
-class DenseOperator:
-    """A dense matrix operator for small systems."""
-
-    def __init__(self, matrix):
-        self.matrix = np.asarray(matrix)
-
-    def apply(self, v):
-        return self.matrix @ v
-
-    def solve_shifted(self, alpha, beta, rhs):
-        n = self.matrix.shape[0]
-        try:
-            return np.linalg.solve(alpha * np.eye(n) - beta * self.matrix, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise StepFailureError(f"singular implicit system: {exc}") from exc
-
-    def __bool__(self):
-        return bool(np.any(self.matrix))
 
 
 class CirculantOperator:
@@ -263,7 +243,7 @@ class SplitProblem:
 
 @dataclass
 class History:
-    """Ring buffers of the newest k levels; index 0 is the newest level n."""
+    """Lists of the newest k levels; index 0 is the newest level n."""
 
     k: int
     y: list
@@ -290,8 +270,16 @@ class History:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """The outcome of integrate(): every level's time, the last state, and
+    per-level diagnostics.
+
+    times[j] is the time of level j, starting levels included. final is the
+    state at times[-1]. diagnostics maps "max_norm" and "total_variation" to
+    arrays aligned with times.
+    """
+
     times: np.ndarray
-    states: list
+    final: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -336,8 +324,10 @@ def start(problem: SplitProblem, s: CoefficientSet, dt: float,
     r = ceil(1/sqrt(dt)) by default, which keeps the start error below the
     scheme's own second-order global error.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if refine is not None and not (isinstance(refine, numbers.Integral) and refine >= 1):
+        raise ValueError(f"refine must be an integer of at least 1, got {refine}")
     op = problem.operator
     if mode == "exact":
         if problem.exact is None:
@@ -372,12 +362,20 @@ def integrate(problem: SplitProblem, s: CoefficientSet, t_end: float, dt: float,
               on_blowup: str = "raise") -> Trajectory:
     """Repeated stepping from t0 to t_end, recording per-level diagnostics.
 
-    When the max norm passes the overflow guard, raises BlowUpError with the
-    step index (empirical stability probing relies on that), or truncates the
-    trajectory there with on_blowup="truncate" (used by beyond-CFL probes).
+    Memory does not grow with the number of steps: only the k-level history
+    is kept, and each level's max norm and total variation are computed as
+    the level is produced. When the max norm passes the overflow guard,
+    raises BlowUpError with the step index (empirical stability probing
+    relies on that), or truncates the trajectory there with
+    on_blowup="truncate" (used by beyond-CFL probes); a truncated trajectory
+    ends on the level that passed the guard.
     """
     from .problems import total_variation
 
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if not t_end > problem.t0:
         raise ValueError("t_end must exceed t0")
     if on_blowup not in ("raise", "truncate"):
@@ -385,27 +383,30 @@ def integrate(problem: SplitProblem, s: CoefficientSet, t_end: float, dt: float,
     n_total = (t_end - problem.t0) / dt
     if abs(n_total - round(n_total)) > 1e-8 * max(1.0, abs(n_total)):
         raise ValueError(f"(t_end - t0)/dt = {n_total} is not close to an integer")
-    n_total = round(n_total)
-    if n_total + 1 < s.k:
+    n_levels = round(n_total) + 1
+    if n_levels < s.k:
         raise ValueError("interval too short for the starting levels")
 
     h = start(problem, s, dt, start_mode, refine)
-    times = [problem.t0 + j * dt for j in range(s.k)]
-    states = list(reversed([y.copy() for y in h.y]))
-    for j in range(s.k - 1, n_total):
+    max_norm = np.empty(n_levels)
+    tv = np.empty(n_levels)
+    for j, y in enumerate(reversed(h.y)):
+        max_norm[j] = np.max(np.abs(y))
+        tv[j] = total_variation(y)
+    y = h.y[0]
+    for j in range(s.k, n_levels):
         y = step(s, h, problem.operator)
-        times.append(problem.t0 + (j + 1) * dt)
-        states.append(y.copy())
         norm = float(np.max(np.abs(y)))
-        if not np.isfinite(norm) or norm > BLOWUP_LIMIT:
-            if on_blowup == "raise":
-                raise BlowUpError(j + 1, norm)
+        blown = not np.isfinite(norm) or norm > BLOWUP_LIMIT
+        if blown and on_blowup == "raise":
+            raise BlowUpError(j, norm)
+        max_norm[j] = norm
+        tv[j] = total_variation(y)
+        if blown:
+            n_levels = j + 1
             break
-    diagnostics = {
-        "max_norm": np.array([float(np.max(np.abs(u))) for u in states]),
-        "total_variation": np.array([total_variation(u) for u in states]),
-    }
-    return Trajectory(np.array(times), states, diagnostics)
+    diagnostics = {"max_norm": max_norm[:n_levels], "total_variation": tv[:n_levels]}
+    return Trajectory(problem.t0 + dt * np.arange(n_levels), y, diagnostics)
 
 
 def empirical_stability(s: CoefficientSet, lam, mu, n_steps: int = 800):

@@ -181,8 +181,14 @@ def upwind_advection(grid: GridSpec, courant: float, initial=None) -> SplitProbl
 
 def total_variation(u) -> float:
     """Periodic total variation sum_j |u_{j+1} - u_j|."""
-    u = np.asarray(u)
-    return float(np.sum(np.abs(np.roll(u, -1) - u)))
+    u = np.asarray(u).ravel()
+    if not u.size:
+        return 0.0
+    # the differences np.roll(u, -1) - u, in the same order: the sum is unchanged
+    d = np.empty_like(u)
+    np.subtract(u[1:], u[:-1], out=d[:-1])
+    d[-1] = u[0] - u[-1]
+    return float(np.abs(d).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -300,7 +300,7 @@ def check_convergence_order(scale: float = 1.0) -> CheckResult:
         for dt in dts:
             prob = problems.dahlquist(lam, mu)
             traj = integrate(prob, s, 1.0, dt)
-            errs.append(abs(traj.states[-1][0] - prob.exact(1.0)[0]))
+            errs.append(abs(traj.final[0] - prob.exact(1.0)[0]))
         orders[sid] = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     bad = {k: v for k, v in orders.items() if not lo <= v <= hi}
     passed = not bad

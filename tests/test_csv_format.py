@@ -128,7 +128,7 @@ def old_converge_dahlquist(sid, levels) -> str:
     errs = []
     for dt in dts:
         traj = integrate(prob, s, 1.0, dt)
-        errs.append(float(np.max(np.abs(traj.states[-1] - prob.exact(1.0)))))
+        errs.append(float(np.max(np.abs(traj.final - prob.exact(1.0)))))
     order = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     buf = io.StringIO()
     buf.write("scheme,problem,dt,error,fitted_order\n")

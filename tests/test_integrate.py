@@ -2,11 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from imexssp.integrate import (
     BlowUpError,
     CirculantOperator,
-    DenseOperator,
     History,
     LinearSplitOperator,
     ScalarOperator,
@@ -131,14 +132,6 @@ class TestOperators:
         with pytest.raises(StepFailureError):
             op.solve_shifted(1.0, 0.5, np.ones(1))
 
-    def test_dense_solve(self):
-        m = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        op = DenseOperator(m)
-        rhs = np.array([1.0, 2.0])
-        np.testing.assert_allclose(
-            op.solve_shifted(1.0, 0.25, rhs),
-            np.linalg.solve(np.eye(2) - 0.25 * m, rhs))
-
 
 STENCILS = {
     "3-point": ((-1, 0, 1), (1.0, -2.0, 1.0)),
@@ -206,6 +199,33 @@ class TestCirculantFFTSolve:
         np.testing.assert_array_equal(op.apply(v), expected)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    stencil=st.lists(st.tuples(st.integers(-3, 3), st.floats(-1.0, 1.0)),
+                     min_size=1, max_size=5),
+    n=st.integers(3, 64),
+    alpha=st.floats(0.1, 4.0),
+    beta=st.floats(-1.0, 1.0),
+    complex_rhs=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_circulant_solve_matches_dense_property(stencil, n, alpha, beta, complex_rhs, seed):
+    offsets, ws = zip(*stencil)
+    op = CirculantOperator(offsets, ws, n)
+    shifted = alpha * np.eye(n) - beta * dense_circulant(op)
+    eig = np.abs(alpha - beta * op.symbol(2 * np.pi * np.arange(n) / n))
+    assume(eig.min() >= 1e-2 * max(1.0, eig.max()))
+    rng = np.random.default_rng(seed)
+    rhs = rng.uniform(-1, 1, n)
+    if complex_rhs:
+        rhs = rhs + 1j * rng.uniform(-1, 1, n)
+    x = op.solve_shifted(alpha, beta, rhs)
+    assert np.iscomplexobj(x) == complex_rhs
+    expected = np.linalg.solve(shifted, rhs)
+    # both solves are backward stable: error <~ n eps cond |x|, with cond <= 100 here
+    np.testing.assert_allclose(x, expected, rtol=0, atol=1e-11 * np.abs(expected).max())
+
+
 class TestStep:
     def test_constant_preserved(self):
         h = ones_history(3)
@@ -246,15 +266,16 @@ class TestStep:
 
     def test_superposition(self):
         rng = np.random.default_rng(11)
-        m_f = rng.uniform(-1, 1, (4, 4))
-        m_g = rng.uniform(-1, 1, (4, 4))
-        op = LinearSplitOperator(DenseOperator(m_f), DenseOperator(m_g), 4)
+        offsets = (1, 0, -1, -2)
+        f_op = CirculantOperator(offsets, rng.uniform(-1, 1, 4), 4)
+        g_op = CirculantOperator(offsets, rng.uniform(-1, 1, 4), 4)
+        op = LinearSplitOperator(f_op, g_op, 4)
         s = imex_scheme("biased", 3)
 
         def history_from(levels):
             return History(3, [lv.copy() for lv in levels],
-                           [m_f @ lv for lv in levels],
-                           [m_g @ lv for lv in levels], t=0.3, dt=0.1)
+                           [f_op.apply(lv) for lv in levels],
+                           [g_op.apply(lv) for lv in levels], t=0.3, dt=0.1)
 
         l1 = [rng.uniform(-1, 1, 4) for _ in range(3)]
         l2 = [rng.uniform(-1, 1, 4) for _ in range(3)]
@@ -327,6 +348,12 @@ class TestStart:
         exact = np.exp(-0.2)
         assert abs(fine.y[0][0] - exact) < abs(coarse.y[0][0] - exact)
 
+    @pytest.mark.parametrize("refine", [-1, 0, 2.5])
+    def test_bootstrap_refine_not_a_positive_integer_rejected(self, refine):
+        with pytest.raises(ValueError, match="refine must be an integer of at least 1"):
+            start(dahlquist(-1.0, 0.0), ssp_explicit(3), 0.1, mode="euler_bootstrap",
+                  refine=refine)
+
     def test_bootstrap_keeps_second_order(self):
         s = imex_scheme("biased", 3)
         errs = []
@@ -334,7 +361,7 @@ class TestStart:
         for dt in dts:
             prob = dahlquist(-0.4, -0.6)
             traj = integrate(prob, s, 1.0, dt, start_mode="euler_bootstrap")
-            errs.append(abs(traj.states[-1][0] - prob.exact(1.0)[0]))
+            errs.append(abs(traj.final[0] - prob.exact(1.0)[0]))
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert 1.7 <= slope <= 2.3
 
@@ -346,14 +373,18 @@ class TestIntegrate:
         def err(dt):
             prob = dahlquist(-0.4, -0.6)
             traj = integrate(prob, s, 1.0, dt)
-            return abs(traj.states[-1][0] - np.exp(-1.0))
+            return abs(traj.final[0] - np.exp(-1.0))
 
         assert err(1 / 100) / err(1 / 200) == pytest.approx(4.0, abs=0.6)
 
     def test_zero_operators_constant(self):
         prob = dahlquist(0.0, 0.0)
-        traj = integrate(prob, ssp_explicit(3), 2.0, 0.1)
-        assert all(abs(u[0] - 1.0) < 1e-13 for u in traj.states)
+        s = ssp_explicit(3)
+        h = start(prob, s, 0.1)
+        levels = list(reversed(h.y))
+        while len(levels) < 21:  # t = 0, 0.1, ..., 2.0
+            levels.append(step(s, h, prob.operator))
+        assert all(abs(u[0] - 1.0) < 1e-13 for u in levels)
 
     def test_blow_up_outside_region(self):
         with pytest.raises(BlowUpError, match="blow-up detected"):
@@ -368,6 +399,15 @@ class TestIntegrate:
     def test_non_integral_interval(self):
         with pytest.raises(ValueError, match="integer"):
             integrate(dahlquist(-1.0, 0.0), ssp_explicit(3), 1.0, 0.3)
+
+    def test_infinite_t_end_rejected(self):
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            integrate(dahlquist(-1.0, 0.0), ssp_explicit(3), np.inf, 0.1)
+
+    @pytest.mark.parametrize("dt", [np.nan, -0.1, np.inf])
+    def test_bad_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            integrate(dahlquist(-1.0, 0.0), ssp_explicit(3), 1.0, dt)
 
     def test_diagnostics_recorded(self):
         traj = integrate(dahlquist(-1.0, 0.0), ssp_explicit(3), 1.0, 0.1)

@@ -90,7 +90,7 @@ class TestAdvectionDiffusion:
 
         def err(dt):
             traj = integrate(prob, s, 0.25, dt)
-            return np.max(np.abs(traj.states[-1] - prob.exact(0.25)))
+            return np.max(np.abs(traj.final - prob.exact(0.25)))
 
         assert err(1 / 512) / err(1 / 1024) == pytest.approx(4.0, abs=0.7)
 
