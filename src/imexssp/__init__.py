@@ -12,7 +12,6 @@ from .schemes import (
     imex_bdf2,
     forward_euler,
     char_polys,
-    from_char_polys,
     order_residual,
     scheme_from_id,
     BUILTIN_IDS,

@@ -53,8 +53,11 @@ def _write_output(text: str, out: str | None) -> None:
 # SVG rendering (polyline + axes, no dependencies)
 # ---------------------------------------------------------------------------
 
-def _svg_render(curves, width=640, height=640, clip=8.0) -> str:
-    """Render labelled curves as polylines with real/imaginary axes."""
+def _svg_render(curves) -> str:
+    """Render labelled curves as polylines with real/imaginary axes, on a
+    640 x 640 canvas; points beyond modulus 8 are left out."""
+    width = height = 640
+    clip = 8.0
     pts_all = [v for _, c in curves for v in c.finite_values()
                if abs(v) <= clip and np.isfinite(v)]
     if not pts_all:
@@ -271,14 +274,19 @@ def cmd_converge(args) -> int:
 
 def cmd_tvd(args) -> int:
     _check_format(args, "tvd", "csv")
-    if args.steps < 1:
-        raise ValueError(f"--steps must be at least 1, got {args.steps}")
+    s = scheme_from_id(args.scheme, beta=args.beta, mcnab_c=args.mcnab_c)
+    # the first k levels are exact starting values; the scheme takes the rest
+    if args.steps < s.k:
+        raise ValueError(f"--steps must be at least k = {s.k} for {args.scheme}, "
+                         f"got {args.steps}")
     _check_cells(args)
     grid = problems.GridSpec(args.cells)
-    s = scheme_from_id(args.scheme, beta=args.beta, mcnab_c=args.mcnab_c)
     if args.data == "step":
         initial = None
     else:
+        if args.cells < problems.STAIRCASE_MIN_CELLS:
+            raise ValueError(f"--cells must be at least {problems.STAIRCASE_MIN_CELLS} "
+                             f"for staircase data, got {args.cells}")
         initial = problems.monotone_staircase(args.cells, seed=args.seed)
     prob = problems.upwind_advection(grid, args.sigma, initial=initial)
     dt = args.sigma * grid.dx
@@ -319,6 +327,16 @@ def _positive_float(text: str) -> float:
 
 def _nonnegative_float(text: str) -> float:
     value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
     return value
@@ -386,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", type=int, default=256)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--data", choices=("step", "staircase"), default="step")
-    p.add_argument("--seed", type=int, default=1234)
+    p.add_argument("--seed", type=_nonnegative_int, default=1234)
     p.set_defaults(func=cmd_tvd)
 
     return parser

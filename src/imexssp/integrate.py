@@ -11,7 +11,6 @@ problems as one system.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,24 +220,19 @@ class LinearSplitOperator:
 
     explicit: object
     implicit: object
-    dimension: int
 
 
 @dataclass(frozen=True)
 class SplitProblem:
-    """A linear split initial-value problem, optionally with an exact solution.
+    """A linear split initial-value problem with its exact solution.
 
-    exact, when present, maps a time t to the state vector at t.
+    exact maps a time t to the state vector at t; start() samples it for the
+    k starting levels.
     """
 
     operator: LinearSplitOperator
-    y0: np.ndarray
+    exact: object
     t0: float = 0.0
-    exact: object = None
-    name: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "y0", np.atleast_1d(np.asarray(self.y0)))
 
 
 @dataclass
@@ -315,41 +309,19 @@ def step(s: CoefficientSet, h: History, op: LinearSplitOperator):
     return y_new
 
 
-def start(problem: SplitProblem, s: CoefficientSet, dt: float,
-          mode: str = "exact", refine: int | None = None) -> History:
-    """Fill the k starting levels at t0, t0+dt, ..., t0+(k-1)dt.
-
-    exact mode samples the problem's exact solution. euler_bootstrap takes
-    r forward/backward Euler substeps of size dt/r per level, with
-    r = ceil(1/sqrt(dt)) by default, which keeps the start error below the
-    scheme's own second-order global error.
-    """
+def start(problem: SplitProblem, s: CoefficientSet, dt: float) -> History:
+    """Fill the k starting levels at t0, t0+dt, ..., t0+(k-1)dt by sampling
+    the problem's exact solution."""
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if refine is not None and not (isinstance(refine, numbers.Integral) and refine >= 1):
-        raise ValueError(f"refine must be an integer of at least 1, got {refine}")
+    if problem.exact is None:
+        raise ValueError("the problem has no exact solution to start from")
     op = problem.operator
-    if mode == "exact":
-        if problem.exact is None:
-            raise ValueError("exact start requested but the problem has no exact solution")
-        ys = [np.atleast_1d(np.asarray(problem.exact(problem.t0 + j * dt)))
-              for j in range(s.k)]
-    elif mode == "euler_bootstrap":
-        r = refine if refine is not None else max(1, math.ceil(1.0 / math.sqrt(dt)))
-        sub_dt = dt / r
-        y = problem.y0.copy()
-        ys = [y]
-        for _ in range(s.k - 1):
-            for _ in range(r):
-                rhs = y + sub_dt * op.explicit.apply(y)
-                y = op.implicit.solve_shifted(1.0, sub_dt, rhs)
-            ys.append(y)
-    else:
-        raise ValueError(f"unknown start mode: {mode!r}")
-    ys = ys[::-1]  # newest first
+    ys = [np.atleast_1d(np.asarray(problem.exact(problem.t0 + j * dt)))
+          for j in range(s.k)][::-1]  # newest first
     return History(
         k=s.k,
-        y=list(ys),
+        y=ys,
         f=[op.explicit.apply(y) for y in ys],
         g=[op.implicit.apply(y) for y in ys],
         t=problem.t0 + (s.k - 1) * dt,
@@ -358,17 +330,17 @@ def start(problem: SplitProblem, s: CoefficientSet, dt: float,
 
 
 def integrate(problem: SplitProblem, s: CoefficientSet, t_end: float, dt: float,
-              start_mode: str = "exact", refine: int | None = None,
               on_blowup: str = "raise") -> Trajectory:
     """Repeated stepping from t0 to t_end, recording per-level diagnostics.
 
-    Memory does not grow with the number of steps: only the k-level history
-    is kept, and each level's max norm and total variation are computed as
-    the level is produced. When the max norm passes the overflow guard,
-    raises BlowUpError with the step index (empirical stability probing
-    relies on that), or truncates the trajectory there with
-    on_blowup="truncate" (used by beyond-CFL probes); a truncated trajectory
-    ends on the level that passed the guard.
+    The interval must hold more than the k starting levels, so that the
+    scheme takes at least one step of its own. Memory does not grow with
+    the number of steps: only the k-level history is kept, and each level's
+    max norm and total variation are computed as the level is produced.
+    When the max norm passes the overflow guard, raises BlowUpError with the
+    step index (empirical stability probing relies on that), or truncates
+    the trajectory there with on_blowup="truncate" (used by beyond-CFL
+    probes); a truncated trajectory ends on the level that passed the guard.
     """
     from .problems import total_variation
 
@@ -384,10 +356,11 @@ def integrate(problem: SplitProblem, s: CoefficientSet, t_end: float, dt: float,
     if abs(n_total - round(n_total)) > 1e-8 * max(1.0, abs(n_total)):
         raise ValueError(f"(t_end - t0)/dt = {n_total} is not close to an integer")
     n_levels = round(n_total) + 1
-    if n_levels < s.k:
-        raise ValueError("interval too short for the starting levels")
+    if n_levels <= s.k:
+        raise ValueError(f"interval too short: its {n_levels} levels leave no step "
+                         f"after the k={s.k} starting levels")
 
-    h = start(problem, s, dt, start_mode, refine)
+    h = start(problem, s, dt)
     max_norm = np.empty(n_levels)
     tv = np.empty(n_levels)
     for j, y in enumerate(reversed(h.y)):
@@ -431,8 +404,7 @@ def empirical_stability(s: CoefficientSet, lam, mu, n_steps: int = 800):
     mu = mu.astype(complex).ravel()
     a0, c0 = s.a_array()[0], s.c_array()[0]
     singular = ScalarOperator(mu).singular(a0, c0)  # dt = 1
-    op = LinearSplitOperator(ScalarOperator(lam),
-                             ScalarOperator(np.where(singular, 0.0, mu)), len(lam))
+    op = LinearSplitOperator(ScalarOperator(lam), ScalarOperator(np.where(singular, 0.0, mu)))
     rate = lam + mu
     ys = [np.exp(rate * j) + 1e-6 * (-1) ** j for j in range(s.k)][::-1]
     threshold = 1e3 * np.maximum(1.0, np.abs(ys).max(axis=0))

@@ -36,20 +36,17 @@ _KAPPA_THIRD_WEIGHTS = (2.0 / 6.0, 3.0 / 6.0, -1.0, 1.0 / 6.0)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic 1D grid."""
+    """Uniform periodic grid on the unit interval."""
 
     n_cells: int
-    domain_length: float = 1.0
 
     def __post_init__(self):
         if self.n_cells < 8:
             raise ValueError("need at least 8 cells")
-        if not self.domain_length > 0:
-            raise ValueError("domain length must be positive")
 
     @property
     def dx(self) -> float:
-        return self.domain_length / self.n_cells
+        return 1.0 / self.n_cells
 
 
 @dataclass(frozen=True)
@@ -62,40 +59,31 @@ class AdvectionDiffusionConfig:
 
     courant: float
     diffusion_number: float = 0.0
-    kappa: float = 1.0 / 3.0
 
     def __post_init__(self):
         if self.courant < 0 or self.diffusion_number < 0:
             raise ValueError("courant and diffusion numbers must be nonnegative")
-        if abs(self.kappa - 1.0 / 3.0) > 1e-14:
-            raise ValueError("only the third-order kappa = 1/3 stencil is provided")
 
 
-def dahlquist(lam: complex, mu: complex, y0: complex = 1.0) -> SplitProblem:
-    """Scalar split test equation y' = lam*y + mu*y with exact solution."""
+def dahlquist(lam: complex, mu: complex) -> SplitProblem:
+    """Scalar split test equation y' = lam*y + mu*y, y(0) = 1, with exact solution."""
     lam = complex(lam)
     mu = complex(mu)
-    y0c = complex(y0)
 
     def exact(t):
-        return np.array([y0c * np.exp((lam + mu) * t)])
+        return np.array([np.exp((lam + mu) * t)])
 
-    return SplitProblem(
-        operator=LinearSplitOperator(ScalarOperator(lam), ScalarOperator(mu), 1),
-        y0=np.array([y0c]),
-        exact=exact,
-        name="dahlquist",
-    )
+    return SplitProblem(LinearSplitOperator(ScalarOperator(lam), ScalarOperator(mu)), exact)
 
 
 def advection_diffusion_1d(grid: GridSpec, cfg: AdvectionDiffusionConfig,
-                           mode: int | None = None) -> SplitProblem:
+                           mode: int) -> SplitProblem:
     """Periodic advection-diffusion semi-discretization.
 
     The explicit operator is -a * (third-order kappa=1/3 upwind-biased first
     derivative); the implicit operator is D times the central second
     difference. a = 1; dt implied by the Courant number is cfg.courant*dx.
-    With a Fourier mode index the initial data is that mode and the exact
+    The initial data is the Fourier mode with the given index, and the exact
     semi-discrete solution is attached.
     """
     dx = grid.dx
@@ -114,15 +102,8 @@ def advection_diffusion_1d(grid: GridSpec, cfg: AdvectionDiffusionConfig,
         )
     else:
         implicit = ZeroOperator()
-    op = LinearSplitOperator(explicit, implicit, grid.n_cells)
-
-    j = np.arange(grid.n_cells)
-    if mode is None:
-        u0 = np.sin(2 * np.pi * j / grid.n_cells)
-        return SplitProblem(op, u0, name="advdiff")
-
     phi = 2 * np.pi * mode / grid.n_cells
-    u0 = np.exp(1j * phi * j)
+    u0 = np.exp(1j * phi * np.arange(grid.n_cells))
     rate = explicit.symbol(phi)
     if cfg.diffusion_number > 0:
         rate = rate + implicit.symbol(phi)
@@ -130,7 +111,7 @@ def advection_diffusion_1d(grid: GridSpec, cfg: AdvectionDiffusionConfig,
     def exact(t, u0=u0, rate=rate):
         return u0 * np.exp(rate * t)
 
-    return SplitProblem(op, u0, exact=exact, name=f"advdiff-mode{mode}")
+    return SplitProblem(LinearSplitOperator(explicit, implicit), exact)
 
 
 def fourier_symbol_kappa(cfg: AdvectionDiffusionConfig, phi):
@@ -161,22 +142,18 @@ def upwind_advection(grid: GridSpec, courant: float, initial=None) -> SplitProbl
     """First-order upwind advection, explicit only; TVD under forward Euler
     for courant <= 1, which fixes the reference step dt_0.
 
-    The exact semi-discrete solution (needed for exact-start TV experiments)
-    is attached for whatever initial data is supplied; default is step data.
+    The exact semi-discrete solution, which start() samples, is attached for
+    whatever initial data is supplied; default is step data.
     """
     if not courant > 0:
         raise ValueError("courant number must be positive")
     dx = grid.dx
     explicit = CirculantOperator((0, -1), (-1.0 / dx, 1.0 / dx), grid.n_cells)
-    y0 = step_data(grid.n_cells) if initial is None else np.asarray(initial)
-    if len(y0) != grid.n_cells:
+    u0 = step_data(grid.n_cells) if initial is None else np.asarray(initial)
+    if len(u0) != grid.n_cells:
         raise ValueError("initial data length must match the grid")
-    return SplitProblem(
-        LinearSplitOperator(explicit, ZeroOperator(), grid.n_cells),
-        y0,
-        exact=_circulant_semigroup_exact(explicit, y0),
-        name="upwind",
-    )
+    return SplitProblem(LinearSplitOperator(explicit, ZeroOperator()),
+                        _circulant_semigroup_exact(explicit, u0))
 
 
 def total_variation(u) -> float:
@@ -195,29 +172,35 @@ def total_variation(u) -> float:
 # Initial data for TV experiments
 # ---------------------------------------------------------------------------
 
-def step_data(n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-    """Half-domain step: high on the first half, low on the second."""
-    u = np.full(n, low)
-    u[: n // 2] = high
+def step_data(n: int) -> np.ndarray:
+    """Half-domain step: 1 on the first half, 0 on the second."""
+    u = np.zeros(n)
+    u[: n // 2] = 1.0
     return u
 
 
-def monotone_staircase(n: int, n_plateaus: int = 6, min_width: int | None = None,
-                       seed: int = 1234) -> np.ndarray:
+# The staircase rises through _PLATEAUS plateaus over the first half of the
+# grid and mirrors them on the second; each is at least _MIN_PLATEAU_WIDTH
+# cells wide, so the grid needs STAIRCASE_MIN_CELLS cells.
+_PLATEAUS = 6
+_MIN_PLATEAU_WIDTH = 4
+STAIRCASE_MIN_CELLS = 2 * _PLATEAUS * _MIN_PLATEAU_WIDTH
+
+
+def monotone_staircase(n: int, seed: int = 1234) -> np.ndarray:
     """Monotone-up-then-down staircase of random plateau heights and widths.
 
     Plateaus are kept wide so that plateau extrema survive many advection
     steps; total variation is exactly 2*(max - min).
     """
+    if n < STAIRCASE_MIN_CELLS:
+        raise ValueError(f"staircase data needs at least {STAIRCASE_MIN_CELLS} cells, got {n}")
     rng = np.random.default_rng(seed)
     half = n // 2
-    if min_width is None:
-        min_width = max(4, half // (2 * n_plateaus))
-    if n_plateaus * min_width > half:
-        raise ValueError("plateaus do not fit in half the domain")
-    heights = np.sort(rng.uniform(0.0, 1.0, n_plateaus))
-    widths = rng.multinomial(half - n_plateaus * min_width,
-                             np.full(n_plateaus, 1.0 / n_plateaus)) + min_width
+    min_width = max(_MIN_PLATEAU_WIDTH, half // (2 * _PLATEAUS))
+    heights = np.sort(rng.uniform(0.0, 1.0, _PLATEAUS))
+    widths = rng.multinomial(half - _PLATEAUS * min_width,
+                             np.full(_PLATEAUS, 1.0 / _PLATEAUS)) + min_width
     up = np.repeat(heights, widths)
     u = np.empty(n)
     u[:half] = up[:half]

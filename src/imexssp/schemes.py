@@ -12,7 +12,7 @@ without rounding; float views are provided for numerical work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "imex_bdf2",
     "forward_euler",
     "char_polys",
-    "from_char_polys",
     "order_residual",
     "scheme_from_id",
     "polyval",
@@ -62,13 +61,11 @@ class CoefficientSet:
     b: tuple
     c: tuple
     name: str = ""
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(_as_fraction(x) for x in self.a))
         object.__setattr__(self, "b", tuple(_as_fraction(x) for x in self.b))
         object.__setattr__(self, "c", tuple(_as_fraction(x) for x in self.c))
-        object.__setattr__(self, "params", dict(self.params))
         n = self.k + 1
         if self.k < 1:
             raise ValueError("step count k must be at least 1")
@@ -105,16 +102,6 @@ class CoefficientSet:
     def c_array(self) -> np.ndarray:
         return self._c_float
 
-    def scaled(self, r) -> "CoefficientSet":
-        """All three weight vectors multiplied by r (used by linearity checks)."""
-        rf = _as_fraction(r)
-        return replace(
-            self,
-            a=tuple(rf * x for x in self.a),
-            b=tuple(rf * x for x in self.b),
-            c=tuple(rf * x for x in self.c),
-        )
-
 
 @dataclass(frozen=True)
 class CharPolys:
@@ -150,19 +137,6 @@ def finite_array(x, name: str) -> np.ndarray:
 def char_polys(s: CoefficientSet) -> CharPolys:
     """Characteristic polynomials (A, B, C) of a coefficient set."""
     return CharPolys(s.a_array(), s.b_array(), s.c_array())
-
-
-def from_char_polys(polys: CharPolys, name: str = "", params=None) -> CoefficientSet:
-    """Rebuild the coefficient set whose char_polys() equals `polys`."""
-    k = len(polys.A) - 1
-    return CoefficientSet(
-        k=k,
-        a=tuple(polys.A),
-        b=tuple(polys.B),
-        c=tuple(polys.C),
-        name=name,
-        params=params or {},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +192,7 @@ def implicit_centred(k: int, beta=0) -> CoefficientSet:
     c[1] = beta_f
     c[2] = (1 - beta_f) / 2
     b = (0,) * (k + 1)
-    return CoefficientSet(
-        k, base.a, b, tuple(c),
-        name=f"implicit-centred-k{k}", params={"beta": float(beta_f)},
-    ).validate()
+    return CoefficientSet(k, base.a, b, tuple(c), name=f"implicit-centred-k{k}").validate()
 
 
 def imex_scheme(variant: str, k: int, beta=None) -> CoefficientSet:
@@ -230,16 +201,12 @@ def imex_scheme(variant: str, k: int, beta=None) -> CoefficientSet:
         if beta is not None:
             raise ValueError("the biased variant takes no beta parameter")
         imp = implicit_biased(k)
-        params = {}
     elif variant == "centred":
         imp = implicit_centred(k, 0 if beta is None else beta)
-        params = dict(imp.params)
     else:
         raise ValueError(f"unknown IMEX variant: {variant!r}")
     exp = ssp_explicit(k)
-    return CoefficientSet(
-        k, exp.a, exp.b, imp.c, name=f"imex-{variant}-k{k}", params=params,
-    ).validate()
+    return CoefficientSet(k, exp.a, exp.b, imp.c, name=f"imex-{variant}-k{k}").validate()
 
 
 def mcnab(c_param=Fraction(1, 8)) -> CoefficientSet:
@@ -254,7 +221,7 @@ def mcnab(c_param=Fraction(1, 8)) -> CoefficientSet:
     a = (1, -1, 0)
     b = (0, Fraction(3, 2), Fraction(-1, 2))
     c = ((1 + cp) / 2, (1 - 2 * cp) / 2, cp / 2)
-    return CoefficientSet(2, a, b, c, name="mcnab", params={"mcnab_c": float(cp)}).validate()
+    return CoefficientSet(2, a, b, c, name="mcnab").validate()
 
 
 def imex_bdf2() -> CoefficientSet:

@@ -264,14 +264,14 @@ def _eval_locus(num, den: _Denominator, theta):
     return grid.quotient(polyval(num, grid.z)), grid.pole
 
 
-def _refine_locus(num, den: _Denominator, theta, values, pole, max_passes=8):
+def _refine_locus(num, den: _Denominator, theta, values, pole):
     """Insert midpoints where adjacent finite samples differ too much.
 
     The thresholds (0.02 in modulus, relative to the local scale, and 0.05 in
     argument) keep the sampled polyline faithful near sharp features; passes
-    are capped so poles cannot trigger unbounded refinement.
+    are capped at 8 so poles cannot trigger unbounded refinement.
     """
-    for _ in range(max_passes):
+    for _ in range(8):
         v0, v1 = values[:-1], values[1:]
         both = ~(pole[:-1] | pole[1:])
         dv = np.abs(v1 - v0)
@@ -291,12 +291,11 @@ def _refine_locus(num, den: _Denominator, theta, values, pole, max_passes=8):
     return theta, values, pole
 
 
-def _locus(num, den, n: int, refine: bool = True) -> BoundaryCurve:
+def _locus(num, den, n: int) -> BoundaryCurve:
     den = _Denominator(den)
     theta = _theta_grid(n, den.pole_angles)
     values, pole = _eval_locus(num, den, theta)
-    if refine:
-        theta, values, pole = _refine_locus(num, den, theta, values, pole)
+    theta, values, pole = _refine_locus(num, den, theta, values, pole)
     return BoundaryCurve(theta, values, pole, pole_angles=tuple(den.pole_angles))
 
 
@@ -816,13 +815,12 @@ def zero_expansion_coefficients(k: int, theta_star: float):
     raise ValueError(f"unsupported step count: k={k}")
 
 
-def min_image_real_part(s: CoefficientSet, n_lambda: int = 512,
-                        n_theta: int = 512) -> float:
-    """Minimum real part of the implicit-eigenvalue image over a full
+def min_image_real_part(s: CoefficientSet) -> float:
+    """Minimum real part of the implicit-eigenvalue image over a full 512 x 512
     (lambda on the explicit boundary) x (circle point) grid."""
     image = _ImageMap(s)
-    lams = lambda_at(s, np.linspace(-np.pi, np.pi, n_lambda, endpoint=False))
-    theta = np.linspace(-np.pi, np.pi, n_theta, endpoint=False)
+    theta = np.linspace(-np.pi, np.pi, 512, endpoint=False)
+    lams = lambda_at(s, theta)
     return float(min(np.nanmin(mu.real) for *_, mu in image.blocks(lams, theta)))
 
 

@@ -112,7 +112,7 @@ def check_centred_angle_closed_form(scale: float = 1.0) -> CheckResult:
 
 def check_imex_k3_left_half_plane(scale: float = 1.0) -> CheckResult:
     tol = 1e-10 * scale
-    worst = min_image_real_part(imex_scheme("biased", 3), 512, 512)
+    worst = min_image_real_part(imex_scheme("biased", 3))
     passed = worst >= -tol
     return CheckResult(
         "imex-k3-left-half-plane", passed,
@@ -141,8 +141,9 @@ def check_imex_k4_wedge(scale: float = 1.0) -> CheckResult:
 # 5. Local expansion coefficients against finite differences
 # ---------------------------------------------------------------------------
 
-def check_zero_slope_expansion(scale: float = 1.0, n_samples: int = 32) -> CheckResult:
+def check_zero_slope_expansion(scale: float = 1.0) -> CheckResult:
     tol = 1e-5 * scale
+    n_samples = 32
     rng = np.random.default_rng(42)
     thetas = rng.uniform(-math.pi, math.pi, n_samples)
     h = 1e-3
@@ -315,9 +316,10 @@ def check_convergence_order(scale: float = 1.0) -> CheckResult:
 # 9. SSP/TVD on first-order upwind advection
 # ---------------------------------------------------------------------------
 
-def check_tvd_ssp(scale: float = 1.0, n_cells: int = 256, n_steps: int = 200) -> CheckResult:
+def check_tvd_ssp(scale: float = 1.0) -> CheckResult:
     tol = 1e-12 * scale
-    grid = problems.GridSpec(n_cells)
+    n_steps = 200
+    grid = problems.GridSpec(256)
     worst = -math.inf
     details = []
     for sid, sigma in (("ssp3", 0.5), ("ssp4", 2.0 / 3.0), ("euler", 1.0)):
@@ -372,7 +374,8 @@ def _root_vs_empirical_pairs(s, n_pairs: int, margin: float):
     return tuple(np.concatenate(x)[:n_pairs] for x in (lams, mus, stable))
 
 
-def check_root_vs_empirical(scale: float = 1.0, n_pairs: int = 200) -> CheckResult:
+def check_root_vs_empirical(scale: float = 1.0) -> CheckResult:
+    n_pairs = 200
     margin = 0.05
     s = imex_scheme("biased", 3)
     lams, mus, stable = _root_vs_empirical_pairs(s, n_pairs, margin)

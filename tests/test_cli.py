@@ -271,6 +271,15 @@ class TestConverge:
         assert code == 2
         assert "blow-up detected" in capsys.readouterr().err
 
+    def test_level_with_no_scheme_step_rejected(self, capsys):
+        # dt = 0.5 on [0, 1] gives 3 levels, all of them ssp3 starting levels
+        code = main(["converge", "--dt", "0.5", "--t-end", "1", "--scheme", "ssp3",
+                     "--levels", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: interval too short" in captured.err and "k=3" in captured.err
+        assert captured.out == ""
+
 
 class TestTvd:
     def test_ssp3_at_half_courant(self, tmp_path, capsys):
@@ -299,3 +308,28 @@ class TestTvd:
         _, second = run_csv(tmp_path, ["tvd", "--data", "staircase", "--seed", "7",
                                        "--cells", "128", "--steps", "20"], "b.csv")
         assert first == second
+
+    @pytest.mark.parametrize("scheme,k", [("ssp3", 3), ("ssp4", 4)])
+    def test_steps_below_k_rejected(self, tmp_path, capsys, scheme, k):
+        assert main(["tvd", "--scheme", scheme, "--steps", str(k - 1)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: --steps must be at least k = {k} for {scheme}" in captured.err
+        assert captured.out == ""
+        rows, _ = run_csv(tmp_path, ["tvd", "--scheme", scheme, "--steps", str(k)])
+        assert len(rows) == k + 1
+
+    def test_negative_seed_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tvd", "--data", "staircase", "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --seed: must not be negative" in captured.err
+        assert captured.out == ""
+
+    def test_staircase_needs_48_cells(self, tmp_path, capsys):
+        assert main(["tvd", "--data", "staircase", "--cells", "47"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --cells must be at least 48 for staircase data" in captured.err
+        assert captured.out == ""
+        rows, _ = run_csv(tmp_path, ["tvd", "--data", "staircase", "--cells", "48"])
+        assert len(rows) == 201

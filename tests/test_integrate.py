@@ -19,7 +19,7 @@ from imexssp.integrate import (
     start,
     step,
 )
-from imexssp.problems import dahlquist, GridSpec
+from imexssp.problems import dahlquist
 from imexssp.schemes import (
     BUILTIN_IDS,
     char_polys,
@@ -29,7 +29,7 @@ from imexssp.schemes import (
     ssp_explicit,
 )
 
-ZERO_OP = LinearSplitOperator(ZeroOperator(), ZeroOperator(), 1)
+ZERO_OP = LinearSplitOperator(ZeroOperator(), ZeroOperator())
 
 
 def ones_history(k, dt=0.1):
@@ -269,7 +269,7 @@ class TestStep:
         offsets = (1, 0, -1, -2)
         f_op = CirculantOperator(offsets, rng.uniform(-1, 1, 4), 4)
         g_op = CirculantOperator(offsets, rng.uniform(-1, 1, 4), 4)
-        op = LinearSplitOperator(f_op, g_op, 4)
+        op = LinearSplitOperator(f_op, g_op)
         s = imex_scheme("biased", 3)
 
         def history_from(levels):
@@ -319,51 +319,6 @@ class TestStart:
         with pytest.raises(ValueError, match="exact"):
             start(prob, ssp_explicit(3), 0.1)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="start mode"):
-            start(dahlquist(-1.0, 0.0), ssp_explicit(3), 0.1, mode="spectral")
-
-    def test_bootstrap_levels_close_to_exact(self):
-        prob = dahlquist(-0.4, -0.6)
-        h = start(prob, ssp_explicit(3), 0.01, mode="euler_bootstrap")
-        for j, y in enumerate(reversed(h.y)):
-            assert y[0] == pytest.approx(np.exp(-1.0 * 0.01 * j), abs=1e-4)
-
-    def test_bootstrap_with_implicit_operator(self):
-        from imexssp.problems import AdvectionDiffusionConfig, advection_diffusion_1d
-
-        grid = GridSpec(32)
-        cfg = AdvectionDiffusionConfig(courant=0.3, diffusion_number=0.2)
-        prob = advection_diffusion_1d(grid, cfg, mode=2)
-        s = scheme_from_id("imex-biased-k3")
-        dt = cfg.courant * grid.dx
-        h = start(prob, s, dt, mode="euler_bootstrap")
-        for j, y in enumerate(reversed(h.y)):
-            assert np.max(np.abs(y - prob.exact(j * dt))) < 5e-3
-
-    def test_bootstrap_refinement_override(self):
-        prob = dahlquist(-1.0, 0.0)
-        coarse = start(prob, ssp_explicit(3), 0.1, mode="euler_bootstrap", refine=1)
-        fine = start(prob, ssp_explicit(3), 0.1, mode="euler_bootstrap", refine=64)
-        exact = np.exp(-0.2)
-        assert abs(fine.y[0][0] - exact) < abs(coarse.y[0][0] - exact)
-
-    @pytest.mark.parametrize("refine", [-1, 0, 2.5])
-    def test_bootstrap_refine_not_a_positive_integer_rejected(self, refine):
-        with pytest.raises(ValueError, match="refine must be an integer of at least 1"):
-            start(dahlquist(-1.0, 0.0), ssp_explicit(3), 0.1, mode="euler_bootstrap",
-                  refine=refine)
-
-    def test_bootstrap_keeps_second_order(self):
-        s = imex_scheme("biased", 3)
-        errs = []
-        dts = [1 / 20, 1 / 40, 1 / 80, 1 / 160]
-        for dt in dts:
-            prob = dahlquist(-0.4, -0.6)
-            traj = integrate(prob, s, 1.0, dt, start_mode="euler_bootstrap")
-            errs.append(abs(traj.final[0] - prob.exact(1.0)[0]))
-        slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
-        assert 1.7 <= slope <= 2.3
 
 
 class TestIntegrate:
@@ -395,6 +350,14 @@ class TestIntegrate:
                          on_blowup="truncate")
         assert len(traj.times) < 201
         assert traj.diagnostics["max_norm"][-1] > 1e10
+
+    @pytest.mark.parametrize("sid", ["ssp3", "ssp4", "mcnab"])
+    def test_interval_holding_only_the_starting_levels_rejected(self, sid):
+        s = scheme_from_id(sid)
+        with pytest.raises(ValueError, match=f"k={s.k} starting levels"):
+            integrate(dahlquist(-1.0, 0.0), s, (s.k - 1) * 0.1, 0.1)
+        traj = integrate(dahlquist(-1.0, 0.0), s, s.k * 0.1, 0.1)
+        assert len(traj.times) == s.k + 1
 
     def test_non_integral_interval(self):
         with pytest.raises(ValueError, match="integer"):

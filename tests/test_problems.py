@@ -40,7 +40,7 @@ class TestDahlquist:
 class TestAdvectionDiffusion:
     def test_constant_field_annihilated(self):
         grid = GridSpec(32)
-        prob = advection_diffusion_1d(grid, AdvectionDiffusionConfig(0.35, 0.1))
+        prob = advection_diffusion_1d(grid, AdvectionDiffusionConfig(0.35, 0.1), mode=1)
         u = np.ones(32)
         np.testing.assert_allclose(prob.operator.explicit.apply(u), 0.0, atol=1e-13)
         np.testing.assert_allclose(prob.operator.implicit.apply(u), 0.0, atol=1e-13)
@@ -74,7 +74,7 @@ class TestAdvectionDiffusion:
         errs = []
         for n in (32, 64, 128, 256):
             grid = GridSpec(n)
-            prob = advection_diffusion_1d(grid, AdvectionDiffusionConfig(0.35))
+            prob = advection_diffusion_1d(grid, AdvectionDiffusionConfig(0.35), mode=1)
             x = np.arange(n) * grid.dx
             u = np.sin(2 * np.pi * x)
             target = -2 * np.pi * np.cos(2 * np.pi * x)  # explicit op is -du/dx
@@ -112,10 +112,6 @@ class TestFourierSymbol:
         phis = np.linspace(-np.pi, np.pi, 1024, endpoint=False)
         assert np.max(np.abs(fourier_symbol_kappa(cfg, phis).imag)) > 1 / 3
 
-    def test_kappa_fixed(self):
-        with pytest.raises(ValueError, match="kappa"):
-            AdvectionDiffusionConfig(0.35, kappa=0.5)
-
 
 class TestUpwind:
     def test_unit_courant_exact_shift(self):
@@ -124,7 +120,7 @@ class TestUpwind:
         s = forward_euler()
         h = start(prob, s, grid.dx)
         y = step(s, h, prob.operator)
-        np.testing.assert_allclose(y, np.roll(prob.y0, 1), atol=1e-14)
+        np.testing.assert_allclose(y, np.roll(step_data(32), 1), atol=1e-14)
 
     def test_tv_non_increasing_at_half(self):
         grid = GridSpec(64)
@@ -145,8 +141,8 @@ class TestUpwind:
         grid = GridSpec(32)
         prob = upwind_advection(grid, 0.5)
         u = prob.exact(0.0)
-        np.testing.assert_allclose(u, prob.y0, atol=1e-12)
-        assert total_variation(prob.exact(0.01)) <= total_variation(prob.y0) + 1e-12
+        np.testing.assert_allclose(u, step_data(32), atol=1e-12)
+        assert total_variation(prob.exact(0.01)) <= total_variation(step_data(32)) + 1e-12
 
     def test_courant_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -177,9 +173,9 @@ class TestTotalVariation:
 
 class TestInitialData:
     def test_step_data_values(self):
-        u = step_data(16, low=-1.0, high=2.0)
-        assert u[:8].max() == u[:8].min() == 2.0
-        assert u[8:].max() == u[8:].min() == -1.0
+        u = step_data(16)
+        assert u[:8].max() == u[:8].min() == 1.0
+        assert u[8:].max() == u[8:].min() == 0.0
 
     def test_staircase_deterministic(self):
         np.testing.assert_array_equal(monotone_staircase(128, seed=5),

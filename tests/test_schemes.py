@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from imexssp.schemes import (
     BUILTIN_IDS,
@@ -9,7 +11,6 @@ from imexssp.schemes import (
     CoefficientSet,
     char_polys,
     forward_euler,
-    from_char_polys,
     imex_bdf2,
     imex_scheme,
     implicit_biased,
@@ -147,7 +148,9 @@ class TestCharPolys:
     def test_linearity_under_scaling(self):
         s = imex_scheme("biased", 3)
         r = F(3, 7)
-        scaled = char_polys(s.scaled(r))
+        scaled = char_polys(CoefficientSet(s.k, tuple(r * x for x in s.a),
+                                           tuple(r * x for x in s.b),
+                                           tuple(r * x for x in s.c)))
         base = char_polys(s)
         np.testing.assert_allclose(scaled.A, float(r) * base.A, rtol=1e-15)
         np.testing.assert_allclose(scaled.B, float(r) * base.B, rtol=1e-15)
@@ -156,7 +159,9 @@ class TestCharPolys:
     @pytest.mark.parametrize("sid", REGISTRY_IDS)
     def test_round_trip(self, sid):
         s = scheme_from_id(sid)
-        rebuilt = from_char_polys(char_polys(s))
+        polys = char_polys(s)
+        rebuilt = CoefficientSet(len(polys.A) - 1, tuple(polys.A), tuple(polys.B),
+                                 tuple(polys.C))
         np.testing.assert_array_equal(rebuilt.a_array(), s.a_array())
         np.testing.assert_array_equal(rebuilt.b_array(), s.b_array())
         np.testing.assert_array_equal(rebuilt.c_array(), s.c_array())
@@ -164,6 +169,15 @@ class TestCharPolys:
 
 
 class TestOrderResidual:
+    @given(st.sampled_from(REGISTRY_IDS), st.integers(0, 4),
+           st.fractions(-20, 20, max_denominator=50).filter(bool))
+    def test_scales_with_the_coefficients(self, sid, degree, r):
+        s = scheme_from_id(sid)
+        scaled = CoefficientSet(s.k, tuple(r * x for x in s.a), tuple(r * x for x in s.b),
+                                tuple(r * x for x in s.c))
+        assert order_residual(scaled, degree) == pytest.approx(
+            abs(float(r)) * order_residual(s, degree), rel=1e-14, abs=0.0)
+
     def test_imex_biased_second_order(self):
         assert order_residual(imex_scheme("biased", 3), 2) <= 1e-13
 
@@ -207,9 +221,9 @@ class TestInvariants:
 
     def test_registry_parameters(self):
         s = scheme_from_id("imex-centred-k3", beta=0.25)
-        assert s.params["beta"] == 0.25
+        assert s.c[1] == 0.25  # the centred weights are ((1-beta)/2, beta, (1-beta)/2)
         s = scheme_from_id("mcnab", mcnab_c=0.5)
-        assert s.params["mcnab_c"] == 0.5
+        assert 2 * s.c[2] == 0.5  # the last implicit weight is c/2
 
 
 class TestFloatView:

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imexssp.schemes import (
+    REGISTRY_IDS,
     char_polys,
     imex_bdf2,
     imex_scheme,
@@ -83,6 +86,20 @@ class TestBoundaryLoci:
             BoundaryCurve([0.0, 0.0, 1.0], [0j, 0j, 0j], [False] * 3)
         with pytest.raises(ValueError, match="3 samples"):
             BoundaryCurve([0.0, 1.0], [0j, 0j], [False, False])
+
+
+EXPLICIT_IDS = [sid for sid in REGISTRY_IDS if any(scheme_from_id(sid).b)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(EXPLICIT_IDS), st.integers(16, 2048))
+def test_lambda_at_reproduces_explicit_boundary(sid, n):
+    # no explicit B has a root on the unit circle, so the locus never takes
+    # its pole-anchored form and both evaluate A/B by the same Horner steps
+    s = scheme_from_id(sid)
+    curve = explicit_boundary(s, n)
+    finite = ~curve.is_pole
+    np.testing.assert_array_equal(lambda_at(s, curve.theta[finite]), curve.values[finite])
 
 
 class TestMuMap:
@@ -250,7 +267,7 @@ class TestZeroExpansion:
 
 class TestGridMin:
     def test_biased_k3_min_real_part(self):
-        assert min_image_real_part(imex_scheme("biased", 3), 128, 128) >= -1e-10
+        assert min_image_real_part(imex_scheme("biased", 3)) >= -1e-10
 
 
 class TestSymmetries:

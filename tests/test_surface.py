@@ -1,0 +1,89 @@
+"""The package surface: every exported name resolves, and the entry points
+whose options were pruned keep the parameters and fields they have now, so
+that an option can only come back as a deliberate change to this file."""
+
+import ast
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import imexssp
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(imexssp.__path__))
+REQUIRED = inspect.Parameter.empty
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_all_entry_resolves(module):
+    mod = importlib.import_module(f"imexssp.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_every_package_import_resolves():
+    tree = ast.parse(Path(imexssp.__file__).read_text())
+    imports = [(node.module, alias.name) for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names]
+    assert imports
+    for module, name in imports:
+        assert getattr(imexssp, name) is getattr(importlib.import_module(f"imexssp.{module}"), name)
+
+
+# (module, name): parameter names with their defaults, in order
+SIGNATURES = {
+    ("integrate", "start"): [("problem", REQUIRED), ("s", REQUIRED), ("dt", REQUIRED)],
+    ("integrate", "integrate"): [("problem", REQUIRED), ("s", REQUIRED), ("t_end", REQUIRED),
+                                 ("dt", REQUIRED), ("on_blowup", "raise")],
+    ("problems", "advection_diffusion_1d"): [("grid", REQUIRED), ("cfg", REQUIRED),
+                                             ("mode", REQUIRED)],
+    ("problems", "dahlquist"): [("lam", REQUIRED), ("mu", REQUIRED)],
+    ("problems", "step_data"): [("n", REQUIRED)],
+    ("problems", "monotone_staircase"): [("n", REQUIRED), ("seed", 1234)],
+    ("stability", "min_image_real_part"): [("s", REQUIRED)],
+    ("stability", "_locus"): [("num", REQUIRED), ("den", REQUIRED), ("n", REQUIRED)],
+    ("stability", "_refine_locus"): [("num", REQUIRED), ("den", REQUIRED), ("theta", REQUIRED),
+                                     ("values", REQUIRED), ("pole", REQUIRED)],
+    ("verify", "check_zero_slope_expansion"): [("scale", 1.0)],
+    ("verify", "check_tvd_ssp"): [("scale", 1.0)],
+    ("verify", "check_root_vs_empirical"): [("scale", 1.0)],
+    ("cli", "_svg_render"): [("curves", REQUIRED)],
+}
+
+
+@pytest.mark.parametrize("module,name", sorted(SIGNATURES))
+def test_pruned_signature(module, name):
+    fn = getattr(importlib.import_module(f"imexssp.{module}"), name)
+    params = inspect.signature(fn).parameters.values()
+    assert [(p.name, p.default) for p in params] == SIGNATURES[module, name]
+
+
+FIELDS = {
+    ("integrate", "SplitProblem"): ["operator", "exact", "t0"],
+    ("integrate", "LinearSplitOperator"): ["explicit", "implicit"],
+    ("problems", "GridSpec"): ["n_cells"],
+    ("problems", "AdvectionDiffusionConfig"): ["courant", "diffusion_number"],
+    ("schemes", "CoefficientSet"): ["k", "a", "b", "c", "name"],
+}
+
+
+@pytest.mark.parametrize("module,name", sorted(FIELDS))
+def test_pruned_fields(module, name):
+    cls = getattr(importlib.import_module(f"imexssp.{module}"), name)
+    assert [f.name for f in dataclasses.fields(cls)] == FIELDS[module, name]
+
+
+@pytest.mark.parametrize("owner,name", [
+    ("schemes", "from_char_polys"),
+    ("schemes.CoefficientSet", "scaled"),
+])
+def test_deleted_name_stays_deleted(owner, name):
+    module, _, attr = owner.partition(".")
+    obj = importlib.import_module(f"imexssp.{module}")
+    if attr:
+        obj = getattr(obj, attr)
+    assert not hasattr(obj, name)
+    assert not hasattr(imexssp, name)

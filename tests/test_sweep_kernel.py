@@ -327,8 +327,8 @@ def test_bad_numeric_option_names_the_option(capsys, argv, option, words):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["tvd", "--steps", "0"], "--steps must be at least 1"),
-    (["tvd", "--steps", "-4"], "--steps must be at least 1"),
+    (["tvd", "--steps", "0"], "--steps must be at least k = 3 for ssp3"),
+    (["tvd", "--steps", "-4"], "--steps must be at least k = 3 for ssp3"),
     (["tvd", "--cells", "4"], "--cells must be at least 8"),
     (["converge", "--problem", "advdiff", "--cells", "0"], "--cells must be at least 8"),
     (["angles", "--n-theta", "15"], "--n-theta needs at least 16 samples"),
