@@ -69,10 +69,16 @@ class ZeroOperator:
 
 class ScalarOperator:
     """Multiplication by a (possibly complex) scalar, or elementwise by an
-    array of them: a diagonal operator acting on a state of that length."""
+    array of them: a diagonal operator acting on a state of that length.
+
+    Shifted solves keep the denominator alpha - beta * coef for the most
+    recent (alpha, beta) only, so coef must not change after construction; a
+    singular pair is checked on every call and never kept.
+    """
 
     def __init__(self, coef):
         self.coef = coef
+        self._den = (None, None)  # ((alpha, beta), alpha - beta * coef)
 
     def apply(self, v):
         return self.coef * v
@@ -89,10 +95,13 @@ class ScalarOperator:
         return self._shift(alpha, beta)[1]
 
     def solve_shifted(self, alpha, beta, rhs):
-        den, singular = self._shift(alpha, beta)
-        if singular.any():
-            raise StepFailureError("singular implicit system: a_0 - dt c_0 mu ~ 0")
-        return rhs / den
+        key = (alpha, beta)
+        if self._den[0] != key:
+            den, singular = self._shift(alpha, beta)
+            if singular.any():
+                raise StepFailureError("singular implicit system: a_0 - dt c_0 mu ~ 0")
+            self._den = (key, den)
+        return rhs / self._den[1]
 
     def __bool__(self):
         return bool(np.any(self.coef != 0))
@@ -284,27 +293,26 @@ class Trajectory:
 def step(s: CoefficientSet, h: History, op: LinearSplitOperator):
     """Advance one step: solve (a_0 I - dt c_0 G) y_new = rhs and push.
 
-    rhs collects the k stored levels with their a, b, c weights; b_0 = 0 by
-    construction so no new explicit evaluation enters the solve.
+    rhs collects the k stored levels with their a, b, c weights, read from
+    the scheme's step_weights() (Python floats built once per scheme); zero
+    weights are skipped. b_0 = 0 by construction so no new explicit
+    evaluation enters the solve.
     """
     if h.k != s.k:
         raise ValueError(f"history holds {h.k} levels but the scheme needs {s.k}")
-    a = s.a_array()
-    b = s.b_array()
-    c = s.c_array()
-    if a[0] == 0:
+    a0, c0, terms = s.step_weights()
+    if a0 == 0:
         raise ValueError("a_0 must be nonzero")
     dt = h.dt
     rhs = np.zeros_like(h.y[0])
-    for i in range(1, s.k + 1):
-        lvl = i - 1  # level n+1-i sits at history index i-1
-        if a[i] != 0:
-            rhs = rhs - a[i] * h.y[lvl]
-        if b[i] != 0:
-            rhs = rhs + dt * b[i] * h.f[lvl]
-        if c[i] != 0:
-            rhs = rhs + dt * c[i] * h.g[lvl]
-    y_new = op.implicit.solve_shifted(a[0], dt * c[0], rhs)
+    for lvl, a, b, c in terms:
+        if a:
+            rhs = rhs - a * h.y[lvl]
+        if b:
+            rhs = rhs + dt * b * h.f[lvl]
+        if c:
+            rhs = rhs + dt * c * h.g[lvl]
+    y_new = op.implicit.solve_shifted(a0, dt * c0, rhs)
     h.push(y_new, op.explicit.apply(y_new), op.implicit.apply(y_new))
     return y_new
 
@@ -364,12 +372,12 @@ def integrate(problem: SplitProblem, s: CoefficientSet, t_end: float, dt: float,
     max_norm = np.empty(n_levels)
     tv = np.empty(n_levels)
     for j, y in enumerate(reversed(h.y)):
-        max_norm[j] = np.max(np.abs(y))
+        max_norm[j] = np.abs(y).max()
         tv[j] = total_variation(y)
     y = h.y[0]
     for j in range(s.k, n_levels):
         y = step(s, h, problem.operator)
-        norm = float(np.max(np.abs(y)))
+        norm = float(np.abs(y).max())
         blown = not np.isfinite(norm) or norm > BLOWUP_LIMIT
         if blown and on_blowup == "raise":
             raise BlowUpError(j, norm)

@@ -78,6 +78,10 @@ class CoefficientSet:
             arr = np.array([float(x) for x in getattr(self, name)])
             arr.flags.writeable = False
             object.__setattr__(self, f"_{name}_float", arr)
+        # step()'s weights as Python floats: level n+1-i sits at history index i-1
+        terms = tuple((i - 1, float(self.a[i]), float(self.b[i]), float(self.c[i]))
+                      for i in range(1, n) if self.a[i] or self.b[i] or self.c[i])
+        object.__setattr__(self, "_step_weights", (float(self.a[0]), float(self.c[0]), terms))
 
     @property
     def is_implicit(self) -> bool:
@@ -101,6 +105,12 @@ class CoefficientSet:
 
     def c_array(self) -> np.ndarray:
         return self._c_float
+
+    def step_weights(self) -> tuple:
+        """(a_0, c_0, terms) as Python floats, built once; terms holds
+        (history index, a_i, b_i, c_i) for every level i >= 1 with a nonzero
+        weight, in the order step() applies them."""
+        return self._step_weights
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ __all__ = [
     "zero_expansion_coefficients",
     "min_image_real_part",
     "image_winding_number",
+    "interval_pairs",
     "curve_to_csv",
 ]
 
@@ -828,37 +829,56 @@ def min_image_real_part(s: CoefficientSet) -> float:
 # Winding numbers
 # ---------------------------------------------------------------------------
 
-_WINDING_BLOCK = 64
+def interval_pairs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, budget: int):
+    """Every pair (i, j) with lo[i] <= keys[j] < hi[i], by a sorted sweep.
+
+    keys are sorted once; two searchsorted calls give each interval the run
+    of sorted keys it holds. Yields (i, j) index arrays, interval index and
+    key index, with at most budget pairs at a time, so that a dense case
+    (every key in every interval) runs in bounded memory.
+    """
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.searchsorted(sorted_keys, lo, side="left")
+    count = np.maximum(np.searchsorted(sorted_keys, hi, side="left") - first, 0)
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if len(ends) else 0
+    shift = first - (ends - count)  # sorted position of pair p in interval i: p + shift[i]
+    budget = max(1, budget)
+    for p0 in range(0, total, budget):
+        pair = np.arange(p0, min(p0 + budget, total))
+        i = np.searchsorted(ends, pair, side="right")
+        pair += shift[i]
+        yield i, order[pair]
 
 
 def image_winding_number(values: np.ndarray, mu):
     """Winding number of a sampled closed curve around mu (scalar or array).
 
-    The finite samples, in order and closed up, form a polyline; each of its
-    edges that crosses the ray from mu towards +Re counts +1 upwards and -1
-    downwards (the signed-crossing rule of Hormann & Agathos, 2001). An array
-    of mu is processed in blocks of 64 so memory stays bounded; a scalar mu
-    gives an int.
+    The finite samples, in order and closed up, form a polyline (non-finite
+    samples, the poles, are dropped); each of its edges that crosses the ray
+    from mu towards +Re counts +1 upwards and -1 downwards (the signed-crossing
+    rule of Hormann & Agathos, 2001). An edge from y0 to y1 meets the line
+    Im = Im mu exactly when Im mu lies in [min(y0, y1), max(y0, y1)), so a
+    sorted sweep over Im mu finds the few (edge, mu) pairs to test. mu must be
+    finite; a scalar mu gives an int.
     """
     v = values[np.isfinite(values)]
     x0, y0 = v.real, v.imag
     x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-    mu = np.asarray(mu, dtype=complex)
+    mu = np.asarray(finite_array(mu, "mu"), dtype=complex)
     flat = mu.ravel()
-    out = np.empty(len(flat), dtype=int)
-    for start in range(0, len(flat), _WINDING_BLOCK):
-        m = flat[start:start + _WINDING_BLOCK]
-        below0 = y0 <= m.imag[:, None]
-        below1 = y1 <= m.imag[:, None]
-        # the few (mu, edge) pairs whose edge straddles the line Im = Im mu
-        rows, e = np.nonzero(below0 != below1)
-        mx, my = m.real[rows], m.imag[rows]
+    mx, my = flat.real, flat.imag
+    winding = np.zeros(len(flat))
+    # at most 64 pairs per edge at a time, so a dense case (every edge
+    # straddling every mu) stays within about 5 kB per edge
+    for e, j in interval_pairs(my, np.minimum(y0, y1), np.maximum(y0, y1), 64 * len(v)):
         # > 0 where mu lies left of the edge (x0, y0) -> (x1, y1)
-        side = (x1[e] - x0[e]) * (my - y0[e]) - (mx - x0[e]) * (y1[e] - y0[e])
-        upward = below0[rows, e]
+        side = (x1[e] - x0[e]) * (my[j] - y0[e]) - (mx[j] - x0[e]) * (y1[e] - y0[e])
+        upward = y0[e] <= my[j]
         crossing = (upward & (side > 0)).astype(int) - (~upward & (side < 0))
-        out[start:start + _WINDING_BLOCK] = np.bincount(rows, weights=crossing,
-                                                         minlength=len(m))
+        winding += np.bincount(j, weights=crossing, minlength=len(flat))
+    out = winding.astype(int)
     return int(out[0]) if mu.ndim == 0 else out.reshape(mu.shape)
 
 

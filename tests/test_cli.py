@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from imexssp import problems
 from imexssp.cli import main
+from imexssp.integrate import integrate
+from imexssp.schemes import scheme_from_id
 
 
 def run_csv(tmp_path, args, name="out.csv"):
@@ -188,6 +191,19 @@ class TestVerify:
         assert main(["verify", "--only", "centred-angle", "--format", "csv"]) == 0
         assert "PASS centred-angle-closed-form" in capsys.readouterr().out
 
+    def test_tvd_ssp_reports_each_scheme_own_steps(self, capsys):
+        assert main(["verify", "--only", "tvd-ssp"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS tvd-ssp: max per-step TV growth of each scheme's own steps" in out
+        grid = problems.GridSpec(256)
+        for sid, sigma, n in (("ssp3", 0.5, 198), ("ssp4", 2.0 / 3.0, 197), ("euler", 1.0, 200)):
+            s = scheme_from_id(sid)
+            dt = sigma * grid.dx
+            traj = integrate(problems.upwind_advection(grid, sigma), s, 200 * dt, dt)
+            growth = np.diff(traj.diagnostics["total_variation"])[s.k - 1:]
+            assert len(growth) == n
+            assert f"{sid}@{sigma:.3g}: {growth.max():.2e} over {n} steps" in out
+
     def test_out_writes_the_report(self, tmp_path, capsys):
         assert main(["verify", "--only", "centred-angle"]) == 0
         printed = capsys.readouterr().out
@@ -317,6 +333,31 @@ class TestTvd:
         assert captured.out == ""
         rows, _ = run_csv(tmp_path, ["tvd", "--scheme", scheme, "--steps", str(k)])
         assert len(rows) == k + 1
+
+    def test_summary_counts_only_the_scheme_steps(self, tmp_path, capsys):
+        # ssp3 starts from 3 exact levels, so --steps 3 is one step of the scheme
+        rows, _ = run_csv(tmp_path, ["tvd", "--scheme", "ssp3", "--steps", "3"])
+        assert len(rows) == 4
+        assert rows[0]["tv_growth"] == "" and all(r["tv_growth"] for r in rows[1:])
+        err = capsys.readouterr().err
+        assert "max per-step TV growth" in err
+        assert "over 1 steps of the scheme after 3 exact starting levels" in err
+        grid = problems.GridSpec(256)  # the tvd defaults: 256 cells at sigma 0.5
+        dt = 0.5 * grid.dx
+        traj = integrate(problems.upwind_advection(grid, 0.5), scheme_from_id("ssp3"),
+                         3 * dt, dt)
+        growth = np.diff(traj.diagnostics["total_variation"])
+        assert f"max per-step TV growth: {growth[2]:.6g} over" in err
+        # the starting levels' own growth is larger and no longer reported
+        assert growth[:2].max() > growth[2]
+
+    def test_summary_max_skips_the_starting_levels(self, tmp_path, capsys):
+        rows, _ = run_csv(tmp_path, ["tvd", "--scheme", "ssp4", "--steps", "40"])
+        growth = np.array([float(r["tv_growth"]) for r in rows[1:]])
+        err = capsys.readouterr().err
+        assert "over 37 steps of the scheme after 4 exact starting levels" in err
+        reported = float(err.split("max per-step TV growth: ")[1].split()[0])
+        assert reported == pytest.approx(growth[3:].max(), rel=1e-5)
 
     def test_negative_seed_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,9 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from imexssp.integrate import (
@@ -19,7 +20,7 @@ from imexssp.integrate import (
     start,
     step,
 )
-from imexssp.problems import dahlquist
+from imexssp.problems import AdvectionDiffusionConfig, GridSpec, advection_diffusion_1d, dahlquist
 from imexssp.schemes import (
     BUILTIN_IDS,
     char_polys,
@@ -30,6 +31,9 @@ from imexssp.schemes import (
 )
 
 ZERO_OP = LinearSplitOperator(ZeroOperator(), ZeroOperator())
+
+# the package re-exports the function integrate under the module's name
+integrate_module = importlib.import_module("imexssp.integrate")
 
 
 def ones_history(k, dt=0.1):
@@ -132,6 +136,27 @@ class TestOperators:
         with pytest.raises(StepFailureError):
             op.solve_shifted(1.0, 0.5, np.ones(1))
 
+    @pytest.mark.parametrize("coef", [-0.75 + 0.5j, np.array([2.0, -1.5, 0.25j])])
+    def test_scalar_alternating_shifts_never_stale(self, coef):
+        op = ScalarOperator(coef)
+        rhs = np.array([1.0, -0.3, 2.5])
+        pairs = [(1.5, 0.1), (1.0, -0.4), (1.5, 0.1), (2.0, 0.1), (2.0, 0.1), (1.0, -0.4)]
+        for alpha, beta in pairs:
+            np.testing.assert_array_equal(op.solve_shifted(alpha, beta, rhs),
+                                          rhs / (alpha - beta * coef))
+
+    def test_scalar_singular_shift_raises_every_time(self):
+        op = ScalarOperator(np.array([2.0, -1.0]))
+        rhs = np.ones(2)
+        good = op.solve_shifted(1.0, 0.25, rhs)
+        for _ in range(3):
+            with pytest.raises(StepFailureError):
+                op.solve_shifted(1.0, 0.5, rhs)  # 1 - 0.5 * 2 = 0
+        np.testing.assert_array_equal(op.solve_shifted(1.0, 0.25, rhs), good)
+        with pytest.raises(StepFailureError):
+            op.solve_shifted(1.0, 0.5, rhs)
+        np.testing.assert_array_equal(op.solve_shifted(2.0, 0.5, rhs), rhs / np.array([1.0, 2.5]))
+
 
 STENCILS = {
     "3-point": ((-1, 0, 1), (1.0, -2.0, 1.0)),
@@ -209,6 +234,10 @@ class TestCirculantFFTSolve:
     complex_rhs=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+# LU with partial pivoting grows its pivots by 7.7e5 on this well-conditioned
+# (cond 3.5) matrix, so an unrefined dense solve is off by 6.6e-11
+@example(stencil=[(0, -0.5), (1, 0.375), (2, -0.4375)], n=46, alpha=0.5, beta=-0.625,
+         complex_rhs=False, seed=1)
 def test_circulant_solve_matches_dense_property(stencil, n, alpha, beta, complex_rhs, seed):
     offsets, ws = zip(*stencil)
     op = CirculantOperator(offsets, ws, n)
@@ -221,8 +250,15 @@ def test_circulant_solve_matches_dense_property(stencil, n, alpha, beta, complex
         rhs = rhs + 1j * rng.uniform(-1, 1, n)
     x = op.solve_shifted(alpha, beta, rhs)
     assert np.iscomplexobj(x) == complex_rhs
+    # the FFT solve is backward stable: a small normwise residual
+    residual = np.abs(rhs - shifted @ x).max()
+    scale = np.abs(shifted).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
+    assert residual <= 1e3 * np.finfo(float).eps * scale
+    # the dense reference needs one step of iterative refinement: pivot growth
+    # in LU can cost it far more than cond * eps
     expected = np.linalg.solve(shifted, rhs)
-    # both solves are backward stable: error <~ n eps cond |x|, with cond <= 100 here
+    expected = expected + np.linalg.solve(shifted, rhs - shifted @ expected)
+    # error <~ n eps cond |x|, with cond <= 100 here
     np.testing.assert_allclose(x, expected, rtol=0, atol=1e-11 * np.abs(expected).max())
 
 
@@ -298,6 +334,118 @@ class TestStep:
         h = start(prob, s, dt)
         with pytest.raises(StepFailureError):
             step(s, h, prob.operator)
+
+
+def indexed_step(s, h, op):
+    """step() as it was: NumPy-scalar weights indexed from the float arrays."""
+    if h.k != s.k:
+        raise ValueError(f"history holds {h.k} levels but the scheme needs {s.k}")
+    a = s.a_array()
+    b = s.b_array()
+    c = s.c_array()
+    if a[0] == 0:
+        raise ValueError("a_0 must be nonzero")
+    dt = h.dt
+    rhs = np.zeros_like(h.y[0])
+    for i in range(1, s.k + 1):
+        lvl = i - 1
+        if a[i] != 0:
+            rhs = rhs - a[i] * h.y[lvl]
+        if b[i] != 0:
+            rhs = rhs + dt * b[i] * h.f[lvl]
+        if c[i] != 0:
+            rhs = rhs + dt * c[i] * h.g[lvl]
+    y_new = op.implicit.solve_shifted(a[0], dt * c[0], rhs)
+    h.push(y_new, op.explicit.apply(y_new), op.implicit.apply(y_new))
+    return y_new
+
+
+def recorded(monkeypatch, stepper, run):
+    """run() with every call integrate_module.step makes routed through
+    stepper; returns run's result and a copy of every state stepped to."""
+    states = []
+
+    def recording(s, h, op):
+        y = stepper(s, h, op)
+        states.append(y.copy())
+        return y
+
+    with monkeypatch.context() as m:
+        m.setattr(integrate_module, "step", recording)
+        result = run()
+    assert states
+    return result, states
+
+
+def advdiff_problem():
+    grid = GridSpec(64)
+    cfg = AdvectionDiffusionConfig(courant=0.35, diffusion_number=0.4)
+    dt = cfg.courant * grid.dx
+    return advection_diffusion_1d(grid, cfg, mode=3), 60 * dt, dt
+
+
+class TestStepWeightsGolden:
+    """step() reads Python-float weights built once per scheme; every state
+    must be bit-identical to the indexed NumPy-scalar loop."""
+
+    @staticmethod
+    def assert_same(monkeypatch, run):
+        new, new_states = recorded(monkeypatch, step, run)
+        old, old_states = recorded(monkeypatch, indexed_step, run)
+        assert len(new_states) == len(old_states)
+        for x, y in zip(new_states, old_states):
+            np.testing.assert_array_equal(x, y)
+            assert x.dtype == y.dtype
+        return new, old
+
+    @pytest.mark.parametrize("sid", BUILTIN_IDS)
+    @pytest.mark.parametrize("complex_lam", [False, True])
+    def test_dahlquist_trajectories(self, monkeypatch, sid, complex_lam):
+        s = scheme_from_id(sid)
+        lam, mu = (-0.4, -0.6) if s.is_implicit else (-1.0, 0.0)
+        if complex_lam:
+            lam += 0.3j
+        new, old = self.assert_same(
+            monkeypatch, lambda: integrate(dahlquist(lam, mu), s, 1.0, 1 / 80))
+        np.testing.assert_array_equal(new.times, old.times)
+        np.testing.assert_array_equal(new.final, old.final)
+        for name in ("max_norm", "total_variation"):
+            np.testing.assert_array_equal(new.diagnostics[name], old.diagnostics[name])
+
+    def test_advdiff_circulant_trajectory(self, monkeypatch):
+        s = scheme_from_id("imex-biased-k3")
+
+        def run():
+            prob, t_end, dt = advdiff_problem()
+            return integrate(prob, s, t_end, dt)
+
+        new, old = self.assert_same(monkeypatch, run)
+        assert np.iscomplexobj(new.final)
+        np.testing.assert_array_equal(new.final, old.final)
+        np.testing.assert_array_equal(new.diagnostics["total_variation"],
+                                      old.diagnostics["total_variation"])
+
+    @pytest.mark.parametrize("sid", ["imex-biased-k3", "mcnab", "ssp4"])
+    def test_empirical_stability_batch(self, monkeypatch, sid):
+        s = scheme_from_id(sid)
+        rng = np.random.default_rng(5)
+        lams = rng.uniform(-2.5, 0.5, 40) + 1j * rng.uniform(-2.0, 2.0, 40)
+        mus = rng.uniform(-4.0, 1.0, 40) + 1j * rng.uniform(-3.0, 3.0, 40)
+        new, old = self.assert_same(monkeypatch,
+                                    lambda: empirical_stability(s, lams, mus, 300))
+        np.testing.assert_array_equal(new, old)
+
+    def test_step_weights_are_the_nonzero_python_floats(self):
+        for sid in BUILTIN_IDS:
+            s = scheme_from_id(sid)
+            a0, c0, terms = s.step_weights()
+            assert (a0, c0) == (s.a_array()[0], s.c_array()[0])
+            assert type(a0) is float and type(c0) is float
+            expected = [(i - 1, s.a_array()[i], s.b_array()[i], s.c_array()[i])
+                        for i in range(1, s.k + 1)
+                        if s.a[i] or s.b[i] or s.c[i]]
+            assert list(terms) == expected
+            assert all(type(w) is float for term in terms for w in term[1:])
 
 
 class TestStart:
