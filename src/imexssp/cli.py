@@ -164,6 +164,9 @@ def cmd_regions(args) -> int:
     has_explicit = any(s.b)
     has_implicit = any(s.c)
     if args.phi_family:
+        if args.kind != "auto":
+            raise ValueError(f"--kind {args.kind} does not apply to --phi-family, which "
+                             "always maps the explicit boundary")
         if not (has_explicit and has_implicit):
             raise ValueError("the image family needs a scheme with both parts")
         if args.family_size < 1:
@@ -190,6 +193,9 @@ def cmd_regions(args) -> int:
         if args.nu is not None:
             curve = restrict_curve(curve, args.nu)
     else:
+        if args.nu is not None:
+            raise ValueError(f"--nu clips the explicit boundary and does not apply to "
+                             f"the implicit locus of {args.scheme}")
         curve = implicit_boundary(s, args.n_theta)
     if args.format == "svg":
         _write_output(_svg_render([(f"{args.scheme} {kind}", curve)]), args.out)
@@ -288,7 +294,7 @@ def cmd_tvd(args) -> int:
             raise ValueError(f"--cells must be at least {problems.STAIRCASE_MIN_CELLS} "
                              f"for staircase data, got {args.cells}")
         initial = problems.monotone_staircase(args.cells, seed=args.seed)
-    prob = problems.upwind_advection(grid, args.sigma, initial=initial)
+    prob = problems.upwind_advection(grid, initial=initial)
     dt = args.sigma * grid.dx
     traj = integrate(prob, s, args.steps * dt, dt, on_blowup="truncate")
     tv = traj.diagnostics["total_variation"]
@@ -366,11 +372,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regions", help="boundary-locus curves as CSV or SVG")
     common(p, scheme_default="ssp3")
-    p.add_argument("--kind", choices=("auto", "explicit", "implicit"), default="auto")
+    p.add_argument("--kind", choices=("auto", "explicit", "implicit"), default="auto",
+                   help="which locus to draw; not with --phi-family")
     p.add_argument("--phi-family", action="store_true", dest="phi_family",
                    help="image family over explicit boundary eigenvalues")
     p.add_argument("--nu", type=_positive_float, default=None,
-                   help="clip the explicit boundary to |Im| <= nu")
+                   help="clip the explicit boundary to |Im| <= nu; "
+                        "not with the implicit locus")
     p.add_argument("--n-theta", type=int, default=4096, dest="n_theta")
     p.add_argument("--n-lambda", type=int, default=1024, dest="n_lambda")
     p.add_argument("--family-size", type=int, default=32, dest="family_size")

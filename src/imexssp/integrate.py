@@ -6,6 +6,11 @@ ones, so the solve is direct: scalar or diagonal division, or an FFT
 diagonalization for periodic stencils (circulant operators). A
 diagonal scalar operator lets empirical_stability advance many scalar test
 problems as one system.
+
+A circulant operator applies its stencil as one tap-window reduction: it
+extends the state periodically once, views the extension as a (taps x n)
+window with one row per offset, weights the rows and sums them down the tap
+axis. The window and its weights are built once per operator.
 """
 
 from __future__ import annotations
@@ -110,6 +115,21 @@ class ScalarOperator:
 class CirculantOperator:
     """A periodic stencil operator: (T u)_j = sum_k w_k u_{j + o_k}.
 
+    apply() is one reduction over a tap window built at construction: one
+    row per offset from the first tap to the last, stride +1 or -1, and a
+    weight column that gives 0.0 to an offset in that span the stencil
+    lacks. A call takes the periodic extension v_lo, ..., v_{n-1+hi} of the
+    state once (lo and hi the least and greatest offset; it wraps as often
+    as a span >= n needs), views it as the (taps x n) window whose row for
+    offset o is v_{j+o}, multiplies by the weight column and adds the rows
+    with np.add.reduce from an initial 0.0. The tap axis is strided, so for
+    n >= 2 NumPy adds the rows one at a time in window order: entry j is
+    0.0 + w_1 v_{j+o_1} + w_2 v_{j+o_2} + ... in the stored order of a
+    strictly monotone stencil. Any other stencil (unsorted, or with
+    repeated offsets) is put in ascending order, the weights of a repeated
+    offset summed. A gap in the offsets adds 0.0 * v, which changes nothing
+    unless v is infinite or nan there.
+
     Shifted solves diagonalize the operator by FFT: its eigenvalues are the
     symbol on the grid 2 pi m / n, computed once. The shifted denominators
     alpha - beta * symbol are kept for the most recent (alpha, beta) only.
@@ -119,20 +139,34 @@ class CirculantOperator:
         self.offsets = tuple(int(o) for o in offsets)
         self.weights = tuple(float(w) for w in weights)
         self.n = int(n)
+        if len(self.offsets) != len(self.weights):
+            raise ValueError("a stencil needs one weight per offset")
+        if self.n < 1:
+            raise ValueError(f"a circulant operator needs at least 1 point, got {self.n}")
         self._grid_symbol = None
         self._shift = (None, None)  # ((alpha, beta), alpha - beta * grid symbol)
+        first, last, taps = _tap_window(self.offsets, self.weights)
+        lo, hi = min(first, last), max(first, last)
+        self._stride = 1 if last >= first else -1
+        # extension entry i holds v_{(lo + i) mod n}
+        self._index = np.arange(lo, self.n + hi) % self.n
+        self._first = first - lo  # the extension entry where window row 0 starts
+        self._taps = len(taps)
+        self._weights = np.array(taps)[:, None]
+        # a complex state multiplies by w + 0j, as it does by a Python float;
+        # a complex column saves a buffered cast of the real one on every call
+        self._complex_weights = self._weights.astype(complex)
 
     def apply(self, v):
-        out = np.zeros_like(v)
-        n = len(v)
-        for o, w in zip(self.offsets, self.weights):
-            if w != 0.0:
-                # out_j += w v_{(j + o) mod n}, as two slices around the wrap
-                s = o % n
-                out[:n - s] += w * v[s:]
-                if s:
-                    out[n - s:] += w * v[:s]
-        return out
+        if v.shape != (self.n,):
+            raise ValueError(f"state of shape {v.shape} for a circulant operator on "
+                             f"{self.n} points")
+        ext = v.take(self._index)
+        size = ext.itemsize
+        window = np.ndarray((self._taps, self.n), ext.dtype, ext,
+                            self._first * size, (self._stride * size, size))
+        weights = self._complex_weights if ext.dtype.kind == "c" else self._weights
+        return np.add.reduce(window * weights, axis=0, initial=0.0)
 
     def symbol(self, phi):
         """Eigenvalue on the Fourier mode u_j = exp(i phi j)."""
@@ -158,6 +192,26 @@ class CirculantOperator:
 
     def __bool__(self):
         return any(w != 0.0 for w in self.weights)
+
+
+def _tap_window(offsets, weights):
+    """A stencil as a tap window: the first and last tap's offsets, and the
+    weight of every offset from the first to the last, in window order, with
+    0.0 for an offset the stencil lacks. A strictly monotone stencil keeps
+    its stored direction; any other is put in ascending order, the weights
+    of a repeated offset summed in stored order. An empty stencil is one
+    zero tap."""
+    pairs = list(zip(offsets, weights)) or [(0, 0.0)]
+    ascending = sorted({o for o, _ in pairs})
+    if [o for o, _ in pairs] not in (ascending, ascending[::-1]):
+        merged = dict.fromkeys(ascending, 0.0)
+        for o, w in pairs:
+            merged[o] += w
+        pairs = list(merged.items())
+    stored = dict(pairs)
+    first, last = pairs[0][0], pairs[-1][0]
+    stride = 1 if last >= first else -1
+    return first, last, [stored.get(o, 0.0) for o in range(first, last + stride, stride)]
 
 
 def _thomas(sub, diag, sup, rhs):

@@ -138,15 +138,14 @@ def _circulant_semigroup_exact(operator: CirculantOperator, y0: np.ndarray):
     return exact
 
 
-def upwind_advection(grid: GridSpec, courant: float, initial=None) -> SplitProblem:
-    """First-order upwind advection, explicit only; TVD under forward Euler
-    for courant <= 1, which fixes the reference step dt_0.
+def upwind_advection(grid: GridSpec, initial=None) -> SplitProblem:
+    """First-order upwind advection at unit speed, explicit only; TVD under
+    forward Euler for dt <= dx, which fixes the reference step dt_0. The
+    caller chooses dt.
 
     The exact semi-discrete solution, which start() samples, is attached for
     whatever initial data is supplied; default is step data.
     """
-    if not courant > 0:
-        raise ValueError("courant number must be positive")
     dx = grid.dx
     explicit = CirculantOperator((0, -1), (-1.0 / dx, 1.0 / dx), grid.n_cells)
     u0 = step_data(grid.n_cells) if initial is None else np.asarray(initial)

@@ -149,9 +149,9 @@ def check_zero_slope_expansion(scale: float = 1.0) -> CheckResult:
     thetas = rng.uniform(-math.pi, math.pi, n_samples)
     h = 1e-3
     worst = 0.0
+    schemes = {k: imex_scheme("biased", k) for k in (3, 4)}
     for theta_star in thetas:
-        for k in (3, 4):
-            s = imex_scheme("biased", k)
+        for k, s in schemes.items():
             # the quoted coefficients follow the clockwise circle z = e^{-i theta}
             lam = lambda_at(s, -theta_star)
 
@@ -333,7 +333,7 @@ def check_tvd_ssp(scale: float = 1.0) -> CheckResult:
     for sid, sigma in (("ssp3", 0.5), ("ssp4", 2.0 / 3.0), ("euler", 1.0)):
         s = scheme_from_id(sid)
         dt = sigma * grid.dx
-        prob = problems.upwind_advection(grid, sigma)
+        prob = problems.upwind_advection(grid)
         traj = integrate(prob, s, n_steps * dt, dt)
         # the scheme's own steps follow its k exact starting levels
         own = np.diff(traj.diagnostics["total_variation"])[s.k - 1:]

@@ -112,6 +112,37 @@ class TestRegions:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--scheme", "imex-biased-k3", "--kind", "implicit"],
+        ["--scheme", "implicit-biased-k3"],  # auto picks the implicit locus
+    ])
+    def test_nu_on_implicit_locus_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "locus.csv"
+        code = main(["regions", *argv, "--nu", "0.3", "--n-theta", "256", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--nu" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["explicit", "implicit"])
+    def test_kind_with_phi_family_rejected(self, tmp_path, capsys, kind):
+        out = tmp_path / "family.csv"
+        code = main(["regions", "--scheme", "imex-biased-k3", "--phi-family", "--kind", kind,
+                     "--n-theta", "256", "--n-lambda", "64", "--family-size", "2",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--kind" in err
+        assert not out.exists()
+
+    def test_nu_with_phi_family_still_clips(self, tmp_path):
+        base = ["regions", "--scheme", "imex-biased-k3", "--phi-family", "--n-theta", "256",
+                "--n-lambda", "64", "--family-size", "8"]
+        clipped, _ = run_csv(tmp_path, base + ["--nu", "0.3"], "clipped.csv")
+        full, _ = run_csv(tmp_path, base, "full.csv")
+        assert max(abs(float(r["lambda_im"])) for r in clipped) <= 0.3
+        assert max(abs(float(r["lambda_im"])) for r in full) > 0.3
+
     def test_phi_family_coarse_theta_rejected(self, capsys):
         code = main(["regions", "--scheme", "mcnab", "--phi-family",
                      "--n-lambda", "64", "--family-size", "2", "--n-theta", "4"])
@@ -199,7 +230,7 @@ class TestVerify:
         for sid, sigma, n in (("ssp3", 0.5, 198), ("ssp4", 2.0 / 3.0, 197), ("euler", 1.0, 200)):
             s = scheme_from_id(sid)
             dt = sigma * grid.dx
-            traj = integrate(problems.upwind_advection(grid, sigma), s, 200 * dt, dt)
+            traj = integrate(problems.upwind_advection(grid), s, 200 * dt, dt)
             growth = np.diff(traj.diagnostics["total_variation"])[s.k - 1:]
             assert len(growth) == n
             assert f"{sid}@{sigma:.3g}: {growth.max():.2e} over {n} steps" in out
@@ -344,7 +375,7 @@ class TestTvd:
         assert "over 1 steps of the scheme after 3 exact starting levels" in err
         grid = problems.GridSpec(256)  # the tvd defaults: 256 cells at sigma 0.5
         dt = 0.5 * grid.dx
-        traj = integrate(problems.upwind_advection(grid, 0.5), scheme_from_id("ssp3"),
+        traj = integrate(problems.upwind_advection(grid), scheme_from_id("ssp3"),
                          3 * dt, dt)
         growth = np.diff(traj.diagnostics["total_variation"])
         assert f"max per-step TV growth: {growth[2]:.6g} over" in err

@@ -139,7 +139,7 @@ def old_converge_dahlquist(sid, levels) -> str:
 
 def old_tvd(sid, cells, steps, sigma, seed) -> str:
     grid = problems.GridSpec(cells)
-    prob = problems.upwind_advection(grid, sigma,
+    prob = problems.upwind_advection(grid,
                                      initial=problems.monotone_staircase(cells, seed=seed))
     dt = sigma * grid.dx
     traj = integrate(prob, scheme_from_id(sid), steps * dt, dt, on_blowup="truncate")

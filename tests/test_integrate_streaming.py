@@ -67,7 +67,7 @@ def store_every_state(problem, s, t_end, dt, on_blowup="raise"):
 def staircase_tvd_run(n_cells, n_steps, seed):
     grid = GridSpec(n_cells)
     sigma = 0.5
-    prob = upwind_advection(grid, sigma, initial=monotone_staircase(n_cells, seed=seed))
+    prob = upwind_advection(grid, initial=monotone_staircase(n_cells, seed=seed))
     dt = sigma * grid.dx
     return prob, n_steps * dt, dt
 

@@ -116,7 +116,7 @@ class TestFourierSymbol:
 class TestUpwind:
     def test_unit_courant_exact_shift(self):
         grid = GridSpec(32)
-        prob = upwind_advection(grid, 1.0)
+        prob = upwind_advection(grid)
         s = forward_euler()
         h = start(prob, s, grid.dx)
         y = step(s, h, prob.operator)
@@ -124,7 +124,7 @@ class TestUpwind:
 
     def test_tv_non_increasing_at_half(self):
         grid = GridSpec(64)
-        prob = upwind_advection(grid, 0.5)
+        prob = upwind_advection(grid)
         dt = 0.5 * grid.dx
         traj = integrate(prob, forward_euler(), 50 * dt, dt)
         growth = np.diff(traj.diagnostics["total_variation"])
@@ -132,25 +132,21 @@ class TestUpwind:
 
     def test_tv_grows_beyond_cfl(self):
         grid = GridSpec(64)
-        prob = upwind_advection(grid, 1.2)
+        prob = upwind_advection(grid)
         dt = 1.2 * grid.dx
         traj = integrate(prob, forward_euler(), 20 * dt, dt, on_blowup="truncate")
         assert np.diff(traj.diagnostics["total_variation"]).max() > 1e-3
 
     def test_exact_semigroup_attached(self):
         grid = GridSpec(32)
-        prob = upwind_advection(grid, 0.5)
+        prob = upwind_advection(grid)
         u = prob.exact(0.0)
         np.testing.assert_allclose(u, step_data(32), atol=1e-12)
         assert total_variation(prob.exact(0.01)) <= total_variation(step_data(32)) + 1e-12
 
-    def test_courant_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            upwind_advection(GridSpec(32), 0.0)
-
     def test_initial_length_checked(self):
         with pytest.raises(ValueError, match="length"):
-            upwind_advection(GridSpec(32), 0.5, initial=np.ones(8))
+            upwind_advection(GridSpec(32), initial=np.ones(8))
 
 
 class TestTotalVariation:
@@ -196,14 +192,14 @@ class TestSSPTotalVariation:
     @pytest.mark.parametrize("sid,sigma", [("ssp3", 0.5), ("ssp4", 2.0 / 3.0)])
     def test_tv_non_increasing_at_cfl(self, sid, sigma):
         grid = GridSpec(128)
-        prob = upwind_advection(grid, sigma)
+        prob = upwind_advection(grid)
         dt = sigma * grid.dx
         traj = integrate(prob, scheme_from_id(sid), 100 * dt, dt)
         assert np.diff(traj.diagnostics["total_variation"]).max() <= 1e-12
 
     def test_tv_on_staircase(self):
         grid = GridSpec(128)
-        prob = upwind_advection(grid, 0.5, initial=monotone_staircase(128))
+        prob = upwind_advection(grid, initial=monotone_staircase(128))
         dt = 0.5 * grid.dx
         traj = integrate(prob, scheme_from_id("ssp3"), 100 * dt, dt)
         assert np.diff(traj.diagnostics["total_variation"]).max() <= 1e-12

@@ -5,6 +5,7 @@ that an option can only come back as a deliberate change to this file."""
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 from pathlib import Path
@@ -43,6 +44,7 @@ SIGNATURES = {
     ("problems", "dahlquist"): [("lam", REQUIRED), ("mu", REQUIRED)],
     ("problems", "step_data"): [("n", REQUIRED)],
     ("problems", "monotone_staircase"): [("n", REQUIRED), ("seed", 1234)],
+    ("problems", "upwind_advection"): [("grid", REQUIRED), ("initial", None)],
     ("stability", "min_image_real_part"): [("s", REQUIRED)],
     ("stability", "_locus"): [("num", REQUIRED), ("den", REQUIRED), ("n", REQUIRED)],
     ("stability", "_refine_locus"): [("num", REQUIRED), ("den", REQUIRED), ("theta", REQUIRED),
@@ -87,3 +89,22 @@ def test_deleted_name_stays_deleted(owner, name):
         obj = getattr(obj, attr)
     assert not hasattr(obj, name)
     assert not hasattr(imexssp, name)
+
+
+def _traced_names():
+    """bench/tracer.py's TRACED tuple, read from the file the benchmark uses."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TRACED
+
+
+@pytest.mark.parametrize("module,qualname", _traced_names())
+def test_benchmark_traced_name_resolves(module, qualname):
+    # the benchmark's tracer wraps these by name: a rename must show here,
+    # not only in a benchmark run
+    obj = importlib.import_module(f"imexssp.{module}")
+    for part in qualname.split("."):
+        obj = getattr(obj, part)
+    assert callable(obj)
