@@ -19,7 +19,7 @@ import numpy as np
 
 from . import problems
 from .csvfmt import FLOAT, fill, fmt, format_rows
-from .integrate import BlowUpError, StepFailureError, integrate
+from .integrate import BlowUpError, StepFailureError, integrate, levels
 from .schemes import BUILTIN_IDS, REGISTRY_IDS, scheme_from_id
 from .stability import (
     curve_to_csv,
@@ -153,8 +153,23 @@ def _check_cells(args) -> None:
 
 def _check_samples(args) -> None:
     for option, value in (("--n-theta", args.n_theta), ("--n-lambda", args.n_lambda)):
-        if value < 16:
+        if value is not None and value < 16:
             raise ValueError(f"{option} needs at least 16 samples, got {value}")
+
+
+def _reject_unused(args, where: str, *options: str) -> None:
+    """ValueError naming the first of the options that was given, for an
+    option that has no effect in the mode where it was given."""
+    for option in options:
+        if getattr(args, option.lstrip("-").replace("-", "_")) is not None:
+            raise ValueError(f"{option} applies {where} only")
+
+
+def _default(args, **defaults) -> None:
+    """Fill each option left at None with its default, where it acts."""
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
 
 
 def cmd_regions(args) -> int:
@@ -169,6 +184,7 @@ def cmd_regions(args) -> int:
                              "always maps the explicit boundary")
         if not (has_explicit and has_implicit):
             raise ValueError("the image family needs a scheme with both parts")
+        _default(args, n_lambda=1024, family_size=32)
         if args.family_size < 1:
             raise ValueError("--family-size must be at least 1")
         lam_curve = explicit_boundary(s, args.n_lambda)
@@ -185,6 +201,7 @@ def cmd_regions(args) -> int:
                 _phi_family_csv(family, fh)
         return 0
 
+    _reject_unused(args, "to --phi-family", "--n-lambda", "--family-size")
     kind = args.kind
     if kind == "auto":
         kind = "explicit" if has_explicit else "implicit"
@@ -243,21 +260,25 @@ def cmd_converge(args) -> int:
     _check_format(args, "converge", "csv")
     if args.levels < 2:
         raise ValueError("--levels must be at least 2 to fit an order")
-    scheme_ids = [args.scheme] if args.scheme else list(BUILTIN_IDS)
+    schemes = [(sid, scheme_from_id(sid, beta=args.beta, mcnab_c=args.mcnab_c))
+               for sid in ([args.scheme] if args.scheme else BUILTIN_IDS)]
     # advdiff defaults tie dt to the grid's Courant step so the finest
     # explicit eigenvalues stay inside the stability region
     if args.problem == "advdiff":
+        if args.dnum is not None and not any(s.is_implicit for _, s in schemes):
+            raise ValueError(f"--dnum applies to implicit schemes only, not to {args.scheme}")
+        _default(args, cells=64, sigma=0.35, dnum=0.1)
         _check_cells(args)
         base_dt = args.dt if args.dt is not None else args.sigma / args.cells
         t_end = args.t_end if args.t_end is not None else 128 * base_dt
     else:
+        _reject_unused(args, "to --problem advdiff", "--cells", "--sigma", "--dnum")
         base_dt = args.dt if args.dt is not None else 1.0 / 40.0
         t_end = args.t_end if args.t_end is not None else 1.0
     dts = [base_dt / 2**j for j in range(args.levels)]
     buf = io.StringIO()
     buf.write("scheme,problem,dt,error,fitted_order\n")
-    for sid in scheme_ids:
-        s = scheme_from_id(sid, beta=args.beta, mcnab_c=args.mcnab_c)
+    for sid, s in schemes:
         if args.problem == "dahlquist":
             lam, mu = (-0.4, -0.6) if s.is_implicit else (-1.0, 0.0)
             prob = problems.dahlquist(lam, mu)
@@ -288,18 +309,25 @@ def cmd_tvd(args) -> int:
     _check_cells(args)
     grid = problems.GridSpec(args.cells)
     if args.data == "step":
+        _reject_unused(args, "to --data staircase", "--seed")
         initial = None
     else:
         if args.cells < problems.STAIRCASE_MIN_CELLS:
             raise ValueError(f"--cells must be at least {problems.STAIRCASE_MIN_CELLS} "
                              f"for staircase data, got {args.cells}")
+        _default(args, seed=1234)
         initial = problems.monotone_staircase(args.cells, seed=args.seed)
     prob = problems.upwind_advection(grid, initial=initial)
     dt = args.sigma * grid.dx
-    traj = integrate(prob, s, args.steps * dt, dt, on_blowup="truncate")
-    tv = traj.diagnostics["total_variation"]
+    max_norm, tv = [], []
+    try:
+        for _, y, norm in levels(prob, s, args.steps * dt, dt):
+            max_norm.append(norm)
+            tv.append(problems.total_variation(y))
+    except BlowUpError:
+        pass  # a beyond-CFL probe ends on the level that passed the guard
+    t = prob.t0 + dt * np.arange(len(tv))
     growth = np.diff(tv)
-    t, max_norm = traj.times, traj.diagnostics["max_norm"]
     _write_output("t,max_norm,total_variation,tv_growth\n"
                   + format_rows(f"{FLOAT},{FLOAT},{FLOAT},\n", t[:1], max_norm[:1], tv[:1])
                   + format_rows(f"{FLOAT},{FLOAT},{FLOAT},{FLOAT}\n",
@@ -380,8 +408,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="clip the explicit boundary to |Im| <= nu; "
                         "not with the implicit locus")
     p.add_argument("--n-theta", type=int, default=4096, dest="n_theta")
-    p.add_argument("--n-lambda", type=int, default=1024, dest="n_lambda")
-    p.add_argument("--family-size", type=int, default=32, dest="family_size")
+    p.add_argument("--n-lambda", type=int, default=None, dest="n_lambda",
+                   help="explicit boundary samples (default 1024); --phi-family only")
+    p.add_argument("--family-size", type=int, default=None, dest="family_size",
+                   help="images in the family (default 32); --phi-family only")
     p.set_defaults(func=cmd_regions)
 
     p = sub.add_parser("angles", help="the eight-row wedge-angle comparison table")
@@ -403,9 +433,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="coarsest step (default 1/40, or sigma/cells for advdiff)")
     p.add_argument("--t-end", type=_positive_float, default=None, dest="t_end")
     p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--cells", type=int, default=64)
-    p.add_argument("--sigma", type=_positive_float, default=0.35)
-    p.add_argument("--dnum", type=_nonnegative_float, default=0.1)
+    p.add_argument("--cells", type=int, default=None,
+                   help="grid cells (default 64); --problem advdiff only")
+    p.add_argument("--sigma", type=_positive_float, default=None,
+                   help="Courant number (default 0.35); --problem advdiff only")
+    p.add_argument("--dnum", type=_nonnegative_float, default=None,
+                   help="diffusion number of the implicit schemes (default 0.1); "
+                        "--problem advdiff only")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("tvd", help="total-variation series for upwind advection")
@@ -414,7 +448,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", type=int, default=256)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--data", choices=("step", "staircase"), default="step")
-    p.add_argument("--seed", type=_nonnegative_int, default=1234)
+    p.add_argument("--seed", type=_nonnegative_int, default=None,
+                   help="staircase seed (default 1234); --data staircase only")
     p.set_defaults(func=cmd_tvd)
 
     return parser

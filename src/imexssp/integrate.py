@@ -35,6 +35,7 @@ __all__ = [
     "solve_cyclic_tridiagonal",
     "step",
     "start",
+    "levels",
     "integrate",
     "empirical_stability",
 ]
@@ -331,8 +332,8 @@ class Trajectory:
     per-level diagnostics.
 
     times[j] is the time of level j, starting levels included. final is the
-    state at times[-1]. diagnostics maps "max_norm" and "total_variation" to
-    arrays aligned with times.
+    state at times[-1]. diagnostics maps "max_norm" to an array aligned
+    with times.
     """
 
     times: np.ndarray
@@ -391,29 +392,23 @@ def start(problem: SplitProblem, s: CoefficientSet, dt: float) -> History:
     )
 
 
-def integrate(problem: SplitProblem, s: CoefficientSet, t_end: float, dt: float,
-              on_blowup: str = "raise") -> Trajectory:
-    """Repeated stepping from t0 to t_end, recording per-level diagnostics.
+def levels(problem: SplitProblem, s: CoefficientSet, t_end: float, dt: float):
+    """Repeated stepping from t0 to t_end: yields (index, state, max_norm)
+    for every level, the k starting levels first.
 
     The interval must hold more than the k starting levels, so that the
     scheme takes at least one step of its own. Memory does not grow with
-    the number of steps: only the k-level history is kept, and each level's
-    max norm and total variation are computed as the level is produced.
-    When the max norm passes the overflow guard, raises BlowUpError with the
-    step index (empirical stability probing relies on that), or truncates
-    the trajectory there with on_blowup="truncate" (used by beyond-CFL
-    probes); a truncated trajectory ends on the level that passed the guard.
+    the number of steps: only the k-level history is kept, and a yielded
+    state is the history's own array. A stepped level whose max norm passes
+    the overflow guard is yielded, and then BlowUpError is raised with its
+    step index; a beyond-CFL probe catches it to end on that level.
     """
-    from .problems import total_variation
-
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not t_end > problem.t0:
         raise ValueError("t_end must exceed t0")
-    if on_blowup not in ("raise", "truncate"):
-        raise ValueError(f"unknown blow-up policy: {on_blowup!r}")
     n_total = (t_end - problem.t0) / dt
     if abs(n_total - round(n_total)) > 1e-8 * max(1.0, abs(n_total)):
         raise ValueError(f"(t_end - t0)/dt = {n_total} is not close to an integer")
@@ -423,25 +418,24 @@ def integrate(problem: SplitProblem, s: CoefficientSet, t_end: float, dt: float,
                          f"after the k={s.k} starting levels")
 
     h = start(problem, s, dt)
-    max_norm = np.empty(n_levels)
-    tv = np.empty(n_levels)
     for j, y in enumerate(reversed(h.y)):
-        max_norm[j] = np.abs(y).max()
-        tv[j] = total_variation(y)
-    y = h.y[0]
+        yield j, y, float(np.abs(y).max())
     for j in range(s.k, n_levels):
         y = step(s, h, problem.operator)
         norm = float(np.abs(y).max())
-        blown = not np.isfinite(norm) or norm > BLOWUP_LIMIT
-        if blown and on_blowup == "raise":
+        yield j, y, norm
+        if not np.isfinite(norm) or norm > BLOWUP_LIMIT:
             raise BlowUpError(j, norm)
-        max_norm[j] = norm
-        tv[j] = total_variation(y)
-        if blown:
-            n_levels = j + 1
-            break
-    diagnostics = {"max_norm": max_norm[:n_levels], "total_variation": tv[:n_levels]}
-    return Trajectory(problem.t0 + dt * np.arange(n_levels), y, diagnostics)
+
+
+def integrate(problem: SplitProblem, s: CoefficientSet, t_end: float,
+              dt: float) -> Trajectory:
+    """levels() folded into a Trajectory; raises BlowUpError as it does."""
+    max_norm = []
+    for _, y, norm in levels(problem, s, t_end, dt):
+        max_norm.append(norm)
+    return Trajectory(problem.t0 + dt * np.arange(len(max_norm)), y,
+                      {"max_norm": np.array(max_norm)})
 
 
 def empirical_stability(s: CoefficientSet, lam, mu, n_steps: int = 800):

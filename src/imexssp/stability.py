@@ -15,6 +15,7 @@ outside the unit circle, equivalently every zeta-root lies inside it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -379,6 +380,14 @@ class _ImageMap:
             yield rows, grid.theta, self(lams[rows, None], grid)
 
 
+@functools.lru_cache(maxsize=16)
+def _image_map(s: CoefficientSet) -> _ImageMap:
+    """The scheme's _ImageMap, built once: a build costs a root finding for
+    C's poles, hashing the frozen scheme about a tenth of that. Nothing
+    changes an _ImageMap after construction, so callers share it."""
+    return _ImageMap(s)
+
+
 def mu_map(s: CoefficientSet, lam: complex, theta: float):
     """Implicit eigenvalue that places a characteristic root at e^(i theta).
 
@@ -387,7 +396,7 @@ def mu_map(s: CoefficientSet, lam: complex, theta: float):
     """
     lam = finite_array(lam, "lambda")
     theta = finite_array(theta, "theta")
-    image = _ImageMap(s)
+    image = _image_map(s)
     grid = image.on(np.atleast_1d(theta.astype(float)))
     if grid.pole[0]:
         return None
@@ -399,7 +408,7 @@ def mu_image(s: CoefficientSet, lam: complex, n: int = DEFAULT_N_THETA) -> Bound
     if n < 16:
         raise ValueError("need at least 16 samples")
     lam = finite_array(lam, "lambda")
-    image = _ImageMap(s)
+    image = _image_map(s)
     grid = image.on(_theta_grid(n, image.C.pole_angles))
     return BoundaryCurve(grid.theta, image(lam, grid), grid.pole,
                          pole_angles=tuple(image.C.pole_angles))
@@ -656,7 +665,7 @@ def imex_alpha_sweep(s: CoefficientSet, lambda_curve: BoundaryCurve,
     """
     if n_theta < 16:
         raise ValueError("need at least 16 samples")
-    image = _ImageMap(s)
+    image = _image_map(s)
     keep = ~lambda_curve.is_pole
     lams = lambda_curve.values[keep]
     lam_thetas = lambda_curve.theta[keep]
@@ -819,7 +828,7 @@ def zero_expansion_coefficients(k: int, theta_star: float):
 def min_image_real_part(s: CoefficientSet) -> float:
     """Minimum real part of the implicit-eigenvalue image over a full 512 x 512
     (lambda on the explicit boundary) x (circle point) grid."""
-    image = _ImageMap(s)
+    image = _image_map(s)
     theta = np.linspace(-np.pi, np.pi, 512, endpoint=False)
     lams = lambda_at(s, theta)
     return float(min(np.nanmin(mu.real) for *_, mu in image.blocks(lams, theta)))

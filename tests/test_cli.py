@@ -6,7 +6,7 @@ import pytest
 
 from imexssp import problems
 from imexssp.cli import main
-from imexssp.integrate import integrate
+from imexssp.integrate import levels
 from imexssp.schemes import scheme_from_id
 
 
@@ -230,8 +230,9 @@ class TestVerify:
         for sid, sigma, n in (("ssp3", 0.5, 198), ("ssp4", 2.0 / 3.0, 197), ("euler", 1.0, 200)):
             s = scheme_from_id(sid)
             dt = sigma * grid.dx
-            traj = integrate(problems.upwind_advection(grid), s, 200 * dt, dt)
-            growth = np.diff(traj.diagnostics["total_variation"])[s.k - 1:]
+            tv = [problems.total_variation(y)
+                  for _, y, _ in levels(problems.upwind_advection(grid), s, 200 * dt, dt)]
+            growth = np.diff(tv)[s.k - 1:]
             assert len(growth) == n
             assert f"{sid}@{sigma:.3g}: {growth.max():.2e} over {n} steps" in out
 
@@ -270,6 +271,38 @@ class TestRejectedOptions:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error:" in err and option in err and "finite" in err
+
+    @pytest.mark.parametrize("argv,option", [
+        (["converge", "--cells", "3"], "--cells"),
+        (["converge", "--scheme", "mcnab", "--sigma", "0.2"], "--sigma"),
+        (["converge", "--dnum", "0.2"], "--dnum"),
+        (["converge", "--problem", "advdiff", "--scheme", "ssp3", "--dnum", "0.2"], "--dnum"),
+        (["regions", "--scheme", "ssp3", "--family-size", "0"], "--family-size"),
+        (["regions", "--scheme", "ssp3", "--n-lambda", "99999"], "--n-lambda"),
+        (["regions", "--scheme", "mcnab", "--kind", "implicit", "--n-lambda", "64"],
+         "--n-lambda"),
+        (["tvd", "--seed", "7"], "--seed"),
+    ])
+    def test_option_of_another_mode_rejected(self, tmp_path, capsys, argv, option):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and option in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode,defaults", [
+        (["converge", "--problem", "advdiff", "--scheme", "imex-biased-k3", "--levels", "2"],
+         ["--cells", "64", "--sigma", "0.35", "--dnum", "0.1"]),
+        (["regions", "--phi-family", "--scheme", "mcnab", "--n-theta", "64"],
+         ["--n-lambda", "1024", "--family-size", "32"]),
+        (["tvd", "--data", "staircase", "--cells", "64", "--steps", "20"],
+         ["--seed", "1234"]),
+    ])
+    def test_mode_option_defaults(self, tmp_path, mode, defaults):
+        _, implied = run_csv(tmp_path, mode, "implied.csv")
+        _, given = run_csv(tmp_path, mode + defaults, "given.csv")
+        assert implied == given
 
     def test_malformed_parameter_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -375,9 +408,9 @@ class TestTvd:
         assert "over 1 steps of the scheme after 3 exact starting levels" in err
         grid = problems.GridSpec(256)  # the tvd defaults: 256 cells at sigma 0.5
         dt = 0.5 * grid.dx
-        traj = integrate(problems.upwind_advection(grid), scheme_from_id("ssp3"),
-                         3 * dt, dt)
-        growth = np.diff(traj.diagnostics["total_variation"])
+        tv = [problems.total_variation(y) for _, y, _ in
+              levels(problems.upwind_advection(grid), scheme_from_id("ssp3"), 3 * dt, dt)]
+        growth = np.diff(tv)
         assert f"max per-step TV growth: {growth[2]:.6g} over" in err
         # the starting levels' own growth is larger and no longer reported
         assert growth[:2].max() > growth[2]

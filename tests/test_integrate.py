@@ -14,13 +14,21 @@ from imexssp.integrate import (
     ScalarOperator,
     StepFailureError,
     ZeroOperator,
+    Trajectory,
     empirical_stability,
     integrate,
+    levels,
     solve_cyclic_tridiagonal,
     start,
     step,
 )
-from imexssp.problems import AdvectionDiffusionConfig, GridSpec, advection_diffusion_1d, dahlquist
+from imexssp.problems import (
+    AdvectionDiffusionConfig,
+    GridSpec,
+    advection_diffusion_1d,
+    dahlquist,
+    total_variation,
+)
 from imexssp.schemes import (
     BUILTIN_IDS,
     char_polys,
@@ -377,6 +385,17 @@ def recorded(monkeypatch, stepper, run):
     return result, states
 
 
+def tv_trajectory(problem, s, t_end, dt):
+    """levels() folded into a Trajectory whose diagnostics hold each level's
+    total variation beside its max norm."""
+    max_norm, tv = [], []
+    for _, y, norm in levels(problem, s, t_end, dt):
+        max_norm.append(norm)
+        tv.append(total_variation(y))
+    return Trajectory(problem.t0 + dt * np.arange(len(tv)), y,
+                      {"max_norm": np.array(max_norm), "total_variation": np.array(tv)})
+
+
 def advdiff_problem():
     grid = GridSpec(64)
     cfg = AdvectionDiffusionConfig(courant=0.35, diffusion_number=0.4)
@@ -406,7 +425,7 @@ class TestStepWeightsGolden:
         if complex_lam:
             lam += 0.3j
         new, old = self.assert_same(
-            monkeypatch, lambda: integrate(dahlquist(lam, mu), s, 1.0, 1 / 80))
+            monkeypatch, lambda: tv_trajectory(dahlquist(lam, mu), s, 1.0, 1 / 80))
         np.testing.assert_array_equal(new.times, old.times)
         np.testing.assert_array_equal(new.final, old.final)
         for name in ("max_norm", "total_variation"):
@@ -417,7 +436,7 @@ class TestStepWeightsGolden:
 
         def run():
             prob, t_end, dt = advdiff_problem()
-            return integrate(prob, s, t_end, dt)
+            return tv_trajectory(prob, s, t_end, dt)
 
         new, old = self.assert_same(monkeypatch, run)
         assert np.iscomplexobj(new.final)
@@ -494,10 +513,13 @@ class TestIntegrate:
             integrate(dahlquist(-1.5, 0.0), ssp_explicit(3), 200.0, 1.0)
 
     def test_blow_up_truncate(self):
-        traj = integrate(dahlquist(-1.5, 0.0), ssp_explicit(3), 200.0, 1.0,
-                         on_blowup="truncate")
-        assert len(traj.times) < 201
-        assert traj.diagnostics["max_norm"][-1] > 1e10
+        # a beyond-CFL probe ends on the level that passed the guard
+        max_norm = []
+        with pytest.raises(BlowUpError):
+            for _, _, norm in levels(dahlquist(-1.5, 0.0), ssp_explicit(3), 200.0, 1.0):
+                max_norm.append(norm)
+        assert len(max_norm) < 201
+        assert max_norm[-1] > 1e10
 
     @pytest.mark.parametrize("sid", ["ssp3", "ssp4", "mcnab"])
     def test_interval_holding_only_the_starting_levels_rejected(self, sid):

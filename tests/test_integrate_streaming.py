@@ -1,8 +1,9 @@
-"""integrate() streams: it keeps only the k-level history and computes each
-level's diagnostics as the level is produced. These tests pin its results to
-the loop it replaced, which kept every state and computed the diagnostics
-afterwards, pin the slice-based total_variation to the np.roll form it
-replaced, and bound the memory one long run may trace.
+"""levels() streams: it keeps only the k-level history and yields each level
+with its max norm as the level is produced; integrate() and the total
+variation series are folds over it. These tests pin what it yields, and the
+folds, to the loop it replaced, which kept every state and computed the
+diagnostics afterwards, pin the slice-based total_variation to the np.roll
+form it replaced, and bound the memory one long run may trace.
 """
 
 import tracemalloc
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imexssp.integrate import BLOWUP_LIMIT, BlowUpError, integrate, start, step
+from imexssp.integrate import BLOWUP_LIMIT, BlowUpError, Trajectory, integrate, levels, start, step
 from imexssp.problems import (
     AdvectionDiffusionConfig,
     GridSpec,
@@ -45,7 +46,8 @@ def test_total_variation_bit_identical_to_roll(pairs, complex_data):
 
 
 def store_every_state(problem, s, t_end, dt, on_blowup="raise"):
-    """The store-every-state integrate() loop: (times, final, max_norm, tv)."""
+    """The store-every-state integrate() loop: (times, final, max_norm, tv,
+    states)."""
     n_total = round((t_end - problem.t0) / dt)
     h = start(problem, s, dt)
     times = [problem.t0 + j * dt for j in range(s.k)]
@@ -61,7 +63,23 @@ def store_every_state(problem, s, t_end, dt, on_blowup="raise"):
             break
     return (np.array(times), states[-1],
             np.array([float(np.max(np.abs(u))) for u in states]),
-            np.array([roll_total_variation(u) for u in states]))
+            np.array([roll_total_variation(u) for u in states]), states)
+
+
+def tv_trajectory(problem, s, t_end, dt, on_blowup="raise"):
+    """levels() folded into a Trajectory whose diagnostics hold each level's
+    total variation beside its max norm; with on_blowup="truncate" a
+    blow-up ends it on the level that passed the guard, as tvd does."""
+    max_norm, tv = [], []
+    try:
+        for _, y, norm in levels(problem, s, t_end, dt):
+            max_norm.append(norm)
+            tv.append(total_variation(y))
+    except BlowUpError:
+        if on_blowup == "raise":
+            raise
+    return Trajectory(problem.t0 + dt * np.arange(len(tv)), y,
+                      {"max_norm": np.array(max_norm), "total_variation": np.array(tv)})
 
 
 def staircase_tvd_run(n_cells, n_steps, seed):
@@ -92,8 +110,8 @@ def test_streaming_matches_store_every_state(name):
     build, sid, on_blowup = GOLDEN_RUNS[name]
     prob, t_end, dt = build()
     s = scheme_from_id(sid)
-    traj = integrate(prob, s, t_end, dt, on_blowup=on_blowup)
-    times, final, max_norm, tv = store_every_state(prob, s, t_end, dt, on_blowup)
+    traj = tv_trajectory(prob, s, t_end, dt, on_blowup=on_blowup)
+    times, final, max_norm, tv, _ = store_every_state(prob, s, t_end, dt, on_blowup)
     np.testing.assert_array_equal(traj.times, times)
     np.testing.assert_array_equal(traj.final, final)
     np.testing.assert_array_equal(traj.diagnostics["max_norm"], max_norm)
@@ -122,9 +140,60 @@ def test_traced_peak_does_not_grow_with_steps():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        traj = integrate(prob, s, t_end, dt, on_blowup="truncate")
+        traj = tv_trajectory(prob, s, t_end, dt, on_blowup="truncate")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(traj.times) == 2001
     assert peak < 2 * 2**20, f"integrate traced a peak of {peak / 2**20:.2f} MB"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_levels_yield_every_stored_state(name):
+    build, sid, on_blowup = GOLDEN_RUNS[name]
+    prob, t_end, dt = build()
+    s = scheme_from_id(sid)
+    yielded = []
+    try:
+        for j, y, norm in levels(prob, s, t_end, dt):
+            yielded.append((j, y.copy(), norm))
+    except BlowUpError:
+        assert on_blowup == "truncate"
+    _, _, max_norm, _, states = store_every_state(prob, s, t_end, dt, on_blowup)
+    assert [j for j, _, _ in yielded] == list(range(len(states)))
+    for (_, y, norm), state, expected in zip(yielded, states, max_norm):
+        np.testing.assert_array_equal(y, state)
+        assert y.dtype == state.dtype
+        assert norm == expected
+
+
+@pytest.mark.parametrize("name", ["advdiff-complex", "staircase-tvd-512"])
+def test_integrate_keeps_times_final_and_max_norm(name):
+    build, sid, _ = GOLDEN_RUNS[name]
+    prob, t_end, dt = build()
+    s = scheme_from_id(sid)
+    traj = integrate(prob, s, t_end, dt)
+    times, final, max_norm, _, _ = store_every_state(prob, s, t_end, dt)
+    np.testing.assert_array_equal(traj.times, times)
+    np.testing.assert_array_equal(traj.final, final)
+    np.testing.assert_array_equal(traj.diagnostics["max_norm"], max_norm)
+    assert list(traj.diagnostics) == ["max_norm"]
+
+
+# ssp3 on y' = -1.5 y at dt = 1 passes the guard first at level 98; with
+# t_end = 98 that level is also the last one
+@pytest.mark.parametrize("t_end", [200.0, 98.0])
+def test_blown_level_is_yielded_before_blowup_error(t_end):
+    prob, s = dahlquist(-1.5, 0.0), ssp_explicit(3)
+    yielded = []
+    with pytest.raises(BlowUpError) as raised:
+        for j, y, norm in levels(prob, s, t_end, 1.0):
+            yielded.append((j, norm))
+    with pytest.raises(BlowUpError) as stored:
+        store_every_state(prob, s, 200.0, 1.0)
+    assert (raised.value.step_index, raised.value.norm) == (98, 1297487047722.401)
+    assert (raised.value.step_index, raised.value.norm) == (stored.value.step_index,
+                                                            stored.value.norm)
+    assert yielded[-1] == (98, raised.value.norm)
+    assert len(yielded) == 99
+

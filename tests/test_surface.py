@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,9 @@ def test_every_package_import_resolves():
 SIGNATURES = {
     ("integrate", "start"): [("problem", REQUIRED), ("s", REQUIRED), ("dt", REQUIRED)],
     ("integrate", "integrate"): [("problem", REQUIRED), ("s", REQUIRED), ("t_end", REQUIRED),
-                                 ("dt", REQUIRED), ("on_blowup", "raise")],
+                                 ("dt", REQUIRED)],
+    ("integrate", "levels"): [("problem", REQUIRED), ("s", REQUIRED), ("t_end", REQUIRED),
+                              ("dt", REQUIRED)],
     ("problems", "advection_diffusion_1d"): [("grid", REQUIRED), ("cfg", REQUIRED),
                                              ("mode", REQUIRED)],
     ("problems", "dahlquist"): [("lam", REQUIRED), ("mu", REQUIRED)],
@@ -108,3 +111,47 @@ def test_benchmark_traced_name_resolves(module, qualname):
     for part in qualname.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+def _imports(module):
+    """Every import in a package module, function bodies included: the
+    top-level names of absolute imports, and the package modules that
+    relative imports name."""
+    tree = ast.parse(Path(imexssp.__path__[0], f"{module}.py").read_text())
+    external, internal = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            external.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            external.add(node.module.partition(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            # "from . import x" names a module x; "from .m import x" names m
+            names = [node.module] if node.module else [a.name for a in node.names]
+            internal.update({n.partition(".")[0] for n in names} & set(MODULES))
+    return external, internal
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_runtime_imports_only_stdlib_and_numpy(module):
+    # SciPy, SymPy and mpmath may be installed where the tests run, so an
+    # accidental import of one would pass everything else
+    external, _ = _imports(module)
+    assert external - sys.stdlib_module_names - {"numpy"} == set()
+
+
+def test_package_import_graph_has_no_cycle():
+    graph = {m: _imports(m)[1] for m in MODULES}
+    done, path = set(), []
+
+    def visit(m):
+        if m in path:
+            raise AssertionError(f"import cycle: {' -> '.join(path[path.index(m):] + [m])}")
+        if m not in done:
+            path.append(m)
+            for dep in sorted(graph[m]):
+                visit(dep)
+            path.pop()
+            done.add(m)
+
+    for m in MODULES:
+        visit(m)

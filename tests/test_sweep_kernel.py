@@ -371,3 +371,12 @@ def test_angles_csv_header_unchanged(capsys):
     assert main(["angles", "--n-lambda", "128", "--n-theta", "512"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == \
         "scheme,params,alpha_measured,alpha_closed_form,alpha_reference"
+
+
+def test_image_map_is_built_once_per_scheme():
+    s = scheme_from_id("imex-biased-k4")
+    image = stability._image_map(s)
+    # an equal scheme built again shares the map; mu_map reads the same one
+    assert stability._image_map(scheme_from_id("imex-biased-k4")) is image
+    z = image(np.array([-0.5 + 0.1j])[:, None], image.on(np.array([0.3])))
+    assert stability.mu_map(s, -0.5 + 0.1j, 0.3) == complex(z[0, 0])
