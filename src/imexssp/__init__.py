@@ -38,7 +38,6 @@ from .integrate import (
     History,
     LinearSplitOperator,
     SplitProblem,
-    Trajectory,
     step,
     start,
     integrate,

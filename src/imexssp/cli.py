@@ -19,7 +19,7 @@ import numpy as np
 
 from . import problems
 from .csvfmt import FLOAT, fill, fmt, format_rows
-from .integrate import BlowUpError, StepFailureError, integrate, levels
+from .integrate import BlowUpError, StepFailureError, integrate
 from .schemes import BUILTIN_IDS, REGISTRY_IDS, scheme_from_id
 from .stability import (
     curve_to_csv,
@@ -290,8 +290,8 @@ def cmd_converge(args) -> int:
             prob = problems.advection_diffusion_1d(grid, cfg, mode=1)
         errs = []
         for dt in dts:
-            traj = integrate(prob, s, t_end, dt)
-            errs.append(float(np.max(np.abs(traj.final - prob.exact(t_end)))))
+            final = integrate(prob, s, t_end, dt)
+            errs.append(float(np.max(np.abs(final - prob.exact(t_end)))))
         order = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
         buf.write(format_rows(f"{sid},{args.problem},{FLOAT},{FLOAT},{FLOAT}\n",
                               dts, errs, [order] * len(dts)))
@@ -320,10 +320,13 @@ def cmd_tvd(args) -> int:
     prob = problems.upwind_advection(grid, initial=initial)
     dt = args.sigma * grid.dx
     max_norm, tv = [], []
+
+    def record(_, y, norm):
+        max_norm.append(norm)
+        tv.append(problems.total_variation(y))
+
     try:
-        for _, y, norm in levels(prob, s, args.steps * dt, dt):
-            max_norm.append(norm)
-            tv.append(problems.total_variation(y))
+        integrate(prob, s, args.steps * dt, dt, observe=record)
     except BlowUpError:
         pass  # a beyond-CFL probe ends on the level that passed the guard
     t = prob.t0 + dt * np.arange(len(tv))

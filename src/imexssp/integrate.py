@@ -16,7 +16,7 @@ axis. The window and its weights are built once per operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "LinearSplitOperator",
     "SplitProblem",
     "History",
-    "Trajectory",
     "solve_cyclic_tridiagonal",
     "step",
     "start",
@@ -326,21 +325,6 @@ class History:
         self.t += self.dt
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """The outcome of integrate(): every level's time, the last state, and
-    per-level diagnostics.
-
-    times[j] is the time of level j, starting levels included. final is the
-    state at times[-1]. diagnostics maps "max_norm" to an array aligned
-    with times.
-    """
-
-    times: np.ndarray
-    final: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
-
-
 # ---------------------------------------------------------------------------
 # Stepping
 # ---------------------------------------------------------------------------
@@ -428,14 +412,15 @@ def levels(problem: SplitProblem, s: CoefficientSet, t_end: float, dt: float):
             raise BlowUpError(j, norm)
 
 
-def integrate(problem: SplitProblem, s: CoefficientSet, t_end: float,
-              dt: float) -> Trajectory:
-    """levels() folded into a Trajectory; raises BlowUpError as it does."""
-    max_norm = []
-    for _, y, norm in levels(problem, s, t_end, dt):
-        max_norm.append(norm)
-    return Trajectory(problem.t0 + dt * np.arange(len(max_norm)), y,
-                      {"max_norm": np.array(max_norm)})
+def integrate(problem: SplitProblem, s: CoefficientSet, t_end: float, dt: float,
+              observe=None) -> np.ndarray:
+    """levels() folded into its last state; observe(index, state, max_norm),
+    when given, sees every level first. BlowUpError propagates as levels()
+    raises it, after observe has seen the level that passed the guard."""
+    for j, y, norm in levels(problem, s, t_end, dt):
+        if observe is not None:
+            observe(j, y, norm)
+    return y
 
 
 def empirical_stability(s: CoefficientSet, lam, mu, n_steps: int = 800):

@@ -6,7 +6,7 @@ import pytest
 
 from imexssp import problems
 from imexssp.cli import main
-from imexssp.integrate import levels
+from imexssp.integrate import integrate
 from imexssp.schemes import scheme_from_id
 
 
@@ -222,7 +222,7 @@ class TestVerify:
         assert main(["verify", "--only", "centred-angle", "--format", "csv"]) == 0
         assert "PASS centred-angle-closed-form" in capsys.readouterr().out
 
-    def test_tvd_ssp_reports_each_scheme_own_steps(self, capsys):
+    def test_tvd_ssp_reports_each_scheme_own_steps(self, capsys, level_record):
         assert main(["verify", "--only", "tvd-ssp"]) == 0
         out = capsys.readouterr().out
         assert "PASS tvd-ssp: max per-step TV growth of each scheme's own steps" in out
@@ -230,9 +230,9 @@ class TestVerify:
         for sid, sigma, n in (("ssp3", 0.5, 198), ("ssp4", 2.0 / 3.0, 197), ("euler", 1.0, 200)):
             s = scheme_from_id(sid)
             dt = sigma * grid.dx
-            tv = [problems.total_variation(y)
-                  for _, y, _ in levels(problems.upwind_advection(grid), s, 200 * dt, dt)]
-            growth = np.diff(tv)[s.k - 1:]
+            rec = level_record()
+            integrate(problems.upwind_advection(grid), s, 200 * dt, dt, observe=rec)
+            growth = np.diff(rec.tv)[s.k - 1:]
             assert len(growth) == n
             assert f"{sid}@{sigma:.3g}: {growth.max():.2e} over {n} steps" in out
 
@@ -398,7 +398,7 @@ class TestTvd:
         rows, _ = run_csv(tmp_path, ["tvd", "--scheme", scheme, "--steps", str(k)])
         assert len(rows) == k + 1
 
-    def test_summary_counts_only_the_scheme_steps(self, tmp_path, capsys):
+    def test_summary_counts_only_the_scheme_steps(self, tmp_path, capsys, level_record):
         # ssp3 starts from 3 exact levels, so --steps 3 is one step of the scheme
         rows, _ = run_csv(tmp_path, ["tvd", "--scheme", "ssp3", "--steps", "3"])
         assert len(rows) == 4
@@ -408,9 +408,10 @@ class TestTvd:
         assert "over 1 steps of the scheme after 3 exact starting levels" in err
         grid = problems.GridSpec(256)  # the tvd defaults: 256 cells at sigma 0.5
         dt = 0.5 * grid.dx
-        tv = [problems.total_variation(y) for _, y, _ in
-              levels(problems.upwind_advection(grid), scheme_from_id("ssp3"), 3 * dt, dt)]
-        growth = np.diff(tv)
+        rec = level_record()
+        integrate(problems.upwind_advection(grid), scheme_from_id("ssp3"), 3 * dt, dt,
+                  observe=rec)
+        growth = np.diff(rec.tv)
         assert f"max per-step TV growth: {growth[2]:.6g} over" in err
         # the starting levels' own growth is larger and no longer reported
         assert growth[:2].max() > growth[2]

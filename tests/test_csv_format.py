@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from imexssp import problems
 from imexssp.cli import _phi_family_csv, main
 from imexssp.csvfmt import fill, fmt, format_rows
-from imexssp.integrate import BlowUpError, integrate, levels
+from imexssp.integrate import BlowUpError, integrate
 from imexssp.schemes import scheme_from_id
 from imexssp.stability import (
     curve_to_csv,
@@ -127,8 +127,8 @@ def old_converge_dahlquist(sid, levels) -> str:
     dts = [(1.0 / 40.0) / 2**j for j in range(levels)]
     errs = []
     for dt in dts:
-        traj = integrate(prob, s, 1.0, dt)
-        errs.append(float(np.max(np.abs(traj.final - prob.exact(1.0)))))
+        final = integrate(prob, s, 1.0, dt)
+        errs.append(float(np.max(np.abs(final - prob.exact(1.0)))))
     order = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     buf = io.StringIO()
     buf.write("scheme,problem,dt,error,fitted_order\n")
@@ -137,18 +137,16 @@ def old_converge_dahlquist(sid, levels) -> str:
     return buf.getvalue()
 
 
-def old_tvd(sid, cells, steps, sigma, seed) -> str:
+def old_tvd(sid, cells, steps, sigma, seed, rec) -> str:
     grid = problems.GridSpec(cells)
     prob = problems.upwind_advection(grid,
                                      initial=problems.monotone_staircase(cells, seed=seed))
     dt = sigma * grid.dx
-    max_norm, tv = [], []
     try:
-        for _, y, norm in levels(prob, scheme_from_id(sid), steps * dt, dt):
-            max_norm.append(norm)
-            tv.append(problems.total_variation(y))
+        integrate(prob, scheme_from_id(sid), steps * dt, dt, observe=rec)
     except BlowUpError:
         pass  # the series ends on the level that passed the guard
+    max_norm, tv = rec.max_norm, rec.tv
     growth = np.diff(tv)
     buf = io.StringIO()
     buf.write("t,max_norm,total_variation,tv_growth\n")
@@ -224,7 +222,7 @@ class TestGolden:
             == old_converge_dahlquist(sid, 3)
 
     @pytest.mark.parametrize("sigma", [0.5, 0.95])
-    def test_tvd(self, tmp_path, sigma):
+    def test_tvd(self, tmp_path, level_record, sigma):
         argv = ["tvd", "--scheme", "ssp3", "--cells", "64", "--steps", "40",
                 "--sigma", str(sigma), "--data", "staircase", "--seed", "7"]
-        assert cli_text(tmp_path, argv) == old_tvd("ssp3", 64, 40, sigma, 7)
+        assert cli_text(tmp_path, argv) == old_tvd("ssp3", 64, 40, sigma, 7, level_record())

@@ -14,7 +14,6 @@ from imexssp.integrate import (
     ScalarOperator,
     StepFailureError,
     ZeroOperator,
-    Trajectory,
     empirical_stability,
     integrate,
     levels,
@@ -22,13 +21,7 @@ from imexssp.integrate import (
     start,
     step,
 )
-from imexssp.problems import (
-    AdvectionDiffusionConfig,
-    GridSpec,
-    advection_diffusion_1d,
-    dahlquist,
-    total_variation,
-)
+from imexssp.problems import AdvectionDiffusionConfig, GridSpec, advection_diffusion_1d, dahlquist
 from imexssp.schemes import (
     BUILTIN_IDS,
     char_polys,
@@ -385,17 +378,6 @@ def recorded(monkeypatch, stepper, run):
     return result, states
 
 
-def tv_trajectory(problem, s, t_end, dt):
-    """levels() folded into a Trajectory whose diagnostics hold each level's
-    total variation beside its max norm."""
-    max_norm, tv = [], []
-    for _, y, norm in levels(problem, s, t_end, dt):
-        max_norm.append(norm)
-        tv.append(total_variation(y))
-    return Trajectory(problem.t0 + dt * np.arange(len(tv)), y,
-                      {"max_norm": np.array(max_norm), "total_variation": np.array(tv)})
-
-
 def advdiff_problem():
     grid = GridSpec(64)
     cfg = AdvectionDiffusionConfig(courant=0.35, diffusion_number=0.4)
@@ -419,30 +401,33 @@ class TestStepWeightsGolden:
 
     @pytest.mark.parametrize("sid", BUILTIN_IDS)
     @pytest.mark.parametrize("complex_lam", [False, True])
-    def test_dahlquist_trajectories(self, monkeypatch, sid, complex_lam):
+    def test_dahlquist_trajectories(self, monkeypatch, level_record, sid, complex_lam):
         s = scheme_from_id(sid)
         lam, mu = (-0.4, -0.6) if s.is_implicit else (-1.0, 0.0)
         if complex_lam:
             lam += 0.3j
-        new, old = self.assert_same(
-            monkeypatch, lambda: tv_trajectory(dahlquist(lam, mu), s, 1.0, 1 / 80))
-        np.testing.assert_array_equal(new.times, old.times)
-        np.testing.assert_array_equal(new.final, old.final)
-        for name in ("max_norm", "total_variation"):
-            np.testing.assert_array_equal(new.diagnostics[name], old.diagnostics[name])
 
-    def test_advdiff_circulant_trajectory(self, monkeypatch):
+        def run():
+            rec = level_record()
+            return integrate(dahlquist(lam, mu), s, 1.0, 1 / 80, observe=rec), rec
+
+        (new, new_rec), (old, old_rec) = self.assert_same(monkeypatch, run)
+        np.testing.assert_array_equal(new, old)
+        np.testing.assert_array_equal(new_rec.max_norm, old_rec.max_norm)
+        np.testing.assert_array_equal(new_rec.tv, old_rec.tv)
+
+    def test_advdiff_circulant_trajectory(self, monkeypatch, level_record):
         s = scheme_from_id("imex-biased-k3")
 
         def run():
             prob, t_end, dt = advdiff_problem()
-            return tv_trajectory(prob, s, t_end, dt)
+            rec = level_record()
+            return integrate(prob, s, t_end, dt, observe=rec), rec
 
-        new, old = self.assert_same(monkeypatch, run)
-        assert np.iscomplexobj(new.final)
-        np.testing.assert_array_equal(new.final, old.final)
-        np.testing.assert_array_equal(new.diagnostics["total_variation"],
-                                      old.diagnostics["total_variation"])
+        (new, new_rec), (old, old_rec) = self.assert_same(monkeypatch, run)
+        assert np.iscomplexobj(new)
+        np.testing.assert_array_equal(new, old)
+        np.testing.assert_array_equal(new_rec.tv, old_rec.tv)
 
     @pytest.mark.parametrize("sid", ["imex-biased-k3", "mcnab", "ssp4"])
     def test_empirical_stability_batch(self, monkeypatch, sid):
@@ -494,8 +479,8 @@ class TestIntegrate:
 
         def err(dt):
             prob = dahlquist(-0.4, -0.6)
-            traj = integrate(prob, s, 1.0, dt)
-            return abs(traj.final[0] - np.exp(-1.0))
+            final = integrate(prob, s, 1.0, dt)
+            return abs(final[0] - np.exp(-1.0))
 
         assert err(1 / 100) / err(1 / 200) == pytest.approx(4.0, abs=0.6)
 
@@ -512,22 +497,20 @@ class TestIntegrate:
         with pytest.raises(BlowUpError, match="blow-up detected"):
             integrate(dahlquist(-1.5, 0.0), ssp_explicit(3), 200.0, 1.0)
 
-    def test_blow_up_truncate(self):
+    def test_blow_up_truncate(self, level_record):
         # a beyond-CFL probe ends on the level that passed the guard
-        max_norm = []
+        rec = level_record()
         with pytest.raises(BlowUpError):
-            for _, _, norm in levels(dahlquist(-1.5, 0.0), ssp_explicit(3), 200.0, 1.0):
-                max_norm.append(norm)
-        assert len(max_norm) < 201
-        assert max_norm[-1] > 1e10
+            integrate(dahlquist(-1.5, 0.0), ssp_explicit(3), 200.0, 1.0, observe=rec)
+        assert len(rec.max_norm) < 201
+        assert rec.max_norm[-1] > 1e10
 
     @pytest.mark.parametrize("sid", ["ssp3", "ssp4", "mcnab"])
     def test_interval_holding_only_the_starting_levels_rejected(self, sid):
         s = scheme_from_id(sid)
         with pytest.raises(ValueError, match=f"k={s.k} starting levels"):
             integrate(dahlquist(-1.0, 0.0), s, (s.k - 1) * 0.1, 0.1)
-        traj = integrate(dahlquist(-1.0, 0.0), s, s.k * 0.1, 0.1)
-        assert len(traj.times) == s.k + 1
+        assert len(list(levels(dahlquist(-1.0, 0.0), s, s.k * 0.1, 0.1))) == s.k + 1
 
     def test_non_integral_interval(self):
         with pytest.raises(ValueError, match="integer"):
@@ -542,10 +525,11 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             integrate(dahlquist(-1.0, 0.0), ssp_explicit(3), 1.0, dt)
 
-    def test_diagnostics_recorded(self):
-        traj = integrate(dahlquist(-1.0, 0.0), ssp_explicit(3), 1.0, 0.1)
-        assert len(traj.diagnostics["max_norm"]) == len(traj.times) == 11
-        assert traj.diagnostics["max_norm"][0] == pytest.approx(1.0)
+    def test_diagnostics_recorded(self, level_record):
+        rec = level_record()
+        integrate(dahlquist(-1.0, 0.0), ssp_explicit(3), 1.0, 0.1, observe=rec)
+        assert len(rec.max_norm) == 11
+        assert rec.max_norm[0] == pytest.approx(1.0)
 
 
 class TestGrowthFactor:

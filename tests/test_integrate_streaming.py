@@ -1,19 +1,21 @@
 """levels() streams: it keeps only the k-level history and yields each level
-with its max norm as the level is produced; integrate() and the total
-variation series are folds over it. These tests pin what it yields, and the
-folds, to the loop it replaced, which kept every state and computed the
-diagnostics afterwards, pin the slice-based total_variation to the np.roll
-form it replaced, and bound the memory one long run may trace.
+with its max norm as the level is produced; integrate() folds it, and an
+observer sees every level on the way. These tests pin what levels() yields,
+and what integrate() returns and shows its observer, to the loop they
+replaced, which kept every state and computed the diagnostics afterwards,
+pin the slice-based total_variation to the np.roll form it replaced, and
+bound the memory one long run may trace.
 """
 
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imexssp.integrate import BLOWUP_LIMIT, BlowUpError, Trajectory, integrate, levels, start, step
+from imexssp.integrate import BLOWUP_LIMIT, BlowUpError, integrate, levels, start, step
 from imexssp.problems import (
     AdvectionDiffusionConfig,
     GridSpec,
@@ -45,9 +47,9 @@ def test_total_variation_bit_identical_to_roll(pairs, complex_data):
     assert total_variation(u) == roll_total_variation(u)
 
 
-def store_every_state(problem, s, t_end, dt, on_blowup="raise"):
-    """The store-every-state integrate() loop: (times, final, max_norm, tv,
-    states)."""
+def store_every_state(problem, s, t_end, dt):
+    """The store-every-state integrate() loop, ending on a level that passes
+    the overflow guard: (times, final, max_norm, tv, states)."""
     n_total = round((t_end - problem.t0) / dt)
     h = start(problem, s, dt)
     times = [problem.t0 + j * dt for j in range(s.k)]
@@ -58,28 +60,10 @@ def store_every_state(problem, s, t_end, dt, on_blowup="raise"):
         states.append(y.copy())
         norm = float(np.max(np.abs(y)))
         if not np.isfinite(norm) or norm > BLOWUP_LIMIT:
-            if on_blowup == "raise":
-                raise BlowUpError(j + 1, norm)
             break
     return (np.array(times), states[-1],
             np.array([float(np.max(np.abs(u))) for u in states]),
             np.array([roll_total_variation(u) for u in states]), states)
-
-
-def tv_trajectory(problem, s, t_end, dt, on_blowup="raise"):
-    """levels() folded into a Trajectory whose diagnostics hold each level's
-    total variation beside its max norm; with on_blowup="truncate" a
-    blow-up ends it on the level that passed the guard, as tvd does."""
-    max_norm, tv = [], []
-    try:
-        for _, y, norm in levels(problem, s, t_end, dt):
-            max_norm.append(norm)
-            tv.append(total_variation(y))
-    except BlowUpError:
-        if on_blowup == "raise":
-            raise
-    return Trajectory(problem.t0 + dt * np.arange(len(tv)), y,
-                      {"max_norm": np.array(max_norm), "total_variation": np.array(tv)})
 
 
 def staircase_tvd_run(n_cells, n_steps, seed):
@@ -98,26 +82,33 @@ def advdiff_run():
     return prob, 200 * dt, dt
 
 
+# name: (build, scheme id, whether the run passes the overflow guard)
 GOLDEN_RUNS = {
-    "staircase-tvd-512": (lambda: staircase_tvd_run(512, 300, 3), "ssp3", "truncate"),
-    "advdiff-complex": (advdiff_run, "imex-biased-k3", "raise"),
-    "blowup-truncate": (lambda: (dahlquist(-1.5, 0.0), 200.0, 1.0), "ssp3", "truncate"),
+    "staircase-tvd-512": (lambda: staircase_tvd_run(512, 300, 3), "ssp3", False),
+    "advdiff-complex": (advdiff_run, "imex-biased-k3", False),
+    "blowup-truncate": (lambda: (dahlquist(-1.5, 0.0), 200.0, 1.0), "ssp3", True),
 }
 
 
+def blows_up(expected):
+    return pytest.raises(BlowUpError) if expected else nullcontext()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_streaming_matches_store_every_state(name):
-    build, sid, on_blowup = GOLDEN_RUNS[name]
+def test_streaming_matches_store_every_state(name, level_record):
+    build, sid, blown = GOLDEN_RUNS[name]
     prob, t_end, dt = build()
     s = scheme_from_id(sid)
-    traj = tv_trajectory(prob, s, t_end, dt, on_blowup=on_blowup)
-    times, final, max_norm, tv, _ = store_every_state(prob, s, t_end, dt, on_blowup)
-    np.testing.assert_array_equal(traj.times, times)
-    np.testing.assert_array_equal(traj.final, final)
-    np.testing.assert_array_equal(traj.diagnostics["max_norm"], max_norm)
-    np.testing.assert_array_equal(traj.diagnostics["total_variation"], tv)
+    rec = level_record()
+    with blows_up(blown):
+        integrate(prob, s, t_end, dt, observe=rec)
+    times, final, max_norm, tv, _ = store_every_state(prob, s, t_end, dt)
+    assert len(rec.tv) == len(times)
+    np.testing.assert_array_equal(rec.last, final)
+    np.testing.assert_array_equal(rec.max_norm, max_norm)
+    np.testing.assert_array_equal(rec.tv, tv)
     if name == "advdiff-complex":
-        assert np.iscomplexobj(traj.final)
+        assert np.iscomplexobj(rec.last)
     if name == "blowup-truncate":
         assert len(times) < 201
         assert max_norm[-1] > BLOWUP_LIMIT
@@ -127,39 +118,37 @@ def test_blowup_step_index_matches_store_every_state():
     prob, s = dahlquist(-1.5, 0.0), ssp_explicit(3)
     with pytest.raises(BlowUpError) as streamed:
         integrate(prob, s, 200.0, 1.0)
-    with pytest.raises(BlowUpError) as stored:
-        store_every_state(prob, s, 200.0, 1.0)
-    assert streamed.value.step_index == stored.value.step_index
-    assert streamed.value.norm == stored.value.norm
+    times, _, max_norm, _, _ = store_every_state(prob, s, 200.0, 1.0)
+    assert streamed.value.step_index == len(times) - 1
+    assert streamed.value.norm == max_norm[-1]
 
 
-def test_traced_peak_does_not_grow_with_steps():
+def test_traced_peak_does_not_grow_with_steps(level_record):
     # 2001 states of 4096 points would hold 65 MB; the history holds 3 levels
     prob, t_end, dt = staircase_tvd_run(4096, 2000, 7)
     s = scheme_from_id("ssp3")
+    rec = level_record()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        traj = tv_trajectory(prob, s, t_end, dt, on_blowup="truncate")
+        integrate(prob, s, t_end, dt, observe=rec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(traj.times) == 2001
+    assert len(rec.tv) == 2001
     assert peak < 2 * 2**20, f"integrate traced a peak of {peak / 2**20:.2f} MB"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_levels_yield_every_stored_state(name):
-    build, sid, on_blowup = GOLDEN_RUNS[name]
+    build, sid, blown = GOLDEN_RUNS[name]
     prob, t_end, dt = build()
     s = scheme_from_id(sid)
     yielded = []
-    try:
+    with blows_up(blown):
         for j, y, norm in levels(prob, s, t_end, dt):
             yielded.append((j, y.copy(), norm))
-    except BlowUpError:
-        assert on_blowup == "truncate"
-    _, _, max_norm, _, states = store_every_state(prob, s, t_end, dt, on_blowup)
+    _, _, max_norm, _, states = store_every_state(prob, s, t_end, dt)
     assert [j for j, _, _ in yielded] == list(range(len(states)))
     for (_, y, norm), state, expected in zip(yielded, states, max_norm):
         np.testing.assert_array_equal(y, state)
@@ -168,16 +157,14 @@ def test_levels_yield_every_stored_state(name):
 
 
 @pytest.mark.parametrize("name", ["advdiff-complex", "staircase-tvd-512"])
-def test_integrate_keeps_times_final_and_max_norm(name):
+def test_integrate_returns_the_last_state(name):
     build, sid, _ = GOLDEN_RUNS[name]
     prob, t_end, dt = build()
     s = scheme_from_id(sid)
-    traj = integrate(prob, s, t_end, dt)
-    times, final, max_norm, _, _ = store_every_state(prob, s, t_end, dt)
-    np.testing.assert_array_equal(traj.times, times)
-    np.testing.assert_array_equal(traj.final, final)
-    np.testing.assert_array_equal(traj.diagnostics["max_norm"], max_norm)
-    assert list(traj.diagnostics) == ["max_norm"]
+    final = integrate(prob, s, t_end, dt)
+    _, expected, _, _, _ = store_every_state(prob, s, t_end, dt)
+    np.testing.assert_array_equal(final, expected)
+    assert final.dtype == expected.dtype
 
 
 # ssp3 on y' = -1.5 y at dt = 1 passes the guard first at level 98; with
@@ -189,11 +176,8 @@ def test_blown_level_is_yielded_before_blowup_error(t_end):
     with pytest.raises(BlowUpError) as raised:
         for j, y, norm in levels(prob, s, t_end, 1.0):
             yielded.append((j, norm))
-    with pytest.raises(BlowUpError) as stored:
-        store_every_state(prob, s, 200.0, 1.0)
+    times, _, max_norm, _, _ = store_every_state(prob, s, 200.0, 1.0)
     assert (raised.value.step_index, raised.value.norm) == (98, 1297487047722.401)
-    assert (raised.value.step_index, raised.value.norm) == (stored.value.step_index,
-                                                            stored.value.norm)
+    assert (raised.value.step_index, raised.value.norm) == (len(times) - 1, max_norm[-1])
     assert yielded[-1] == (98, raised.value.norm)
     assert len(yielded) == 99
-

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imexssp.integrate import integrate, levels, start, step
+from imexssp.integrate import integrate, start, step
 from imexssp.problems import (
     AdvectionDiffusionConfig,
     GridSpec,
@@ -14,11 +14,6 @@ from imexssp.problems import (
     upwind_advection,
 )
 from imexssp.schemes import forward_euler, scheme_from_id
-
-
-def tv_levels(prob, s, t_end, dt):
-    """The total variation of every level that levels() yields."""
-    return np.array([total_variation(y) for _, y, _ in levels(prob, s, t_end, dt)])
 
 
 class TestDahlquist:
@@ -94,8 +89,8 @@ class TestAdvectionDiffusion:
         s = scheme_from_id("imex-biased-k3")
 
         def err(dt):
-            traj = integrate(prob, s, 0.25, dt)
-            return np.max(np.abs(traj.final - prob.exact(0.25)))
+            final = integrate(prob, s, 0.25, dt)
+            return np.max(np.abs(final - prob.exact(0.25)))
 
         assert err(1 / 512) / err(1 / 1024) == pytest.approx(4.0, abs=0.7)
 
@@ -127,19 +122,22 @@ class TestUpwind:
         y = step(s, h, prob.operator)
         np.testing.assert_allclose(y, np.roll(step_data(32), 1), atol=1e-14)
 
-    def test_tv_non_increasing_at_half(self):
+    def test_tv_non_increasing_at_half(self, level_record):
         grid = GridSpec(64)
         prob = upwind_advection(grid)
         dt = 0.5 * grid.dx
-        growth = np.diff(tv_levels(prob, forward_euler(), 50 * dt, dt))
+        rec = level_record()
+        integrate(prob, forward_euler(), 50 * dt, dt, observe=rec)
+        growth = np.diff(rec.tv)
         assert growth.max() <= 1e-13
 
-    def test_tv_grows_beyond_cfl(self):
+    def test_tv_grows_beyond_cfl(self, level_record):
         grid = GridSpec(64)
         prob = upwind_advection(grid)
         dt = 1.2 * grid.dx
-        tv = tv_levels(prob, forward_euler(), 20 * dt, dt)
-        assert np.diff(tv).max() > 1e-3
+        rec = level_record()
+        integrate(prob, forward_euler(), 20 * dt, dt, observe=rec)
+        assert np.diff(rec.tv).max() > 1e-3
 
     def test_exact_semigroup_attached(self):
         grid = GridSpec(32)
@@ -194,16 +192,18 @@ class TestInitialData:
 
 class TestSSPTotalVariation:
     @pytest.mark.parametrize("sid,sigma", [("ssp3", 0.5), ("ssp4", 2.0 / 3.0)])
-    def test_tv_non_increasing_at_cfl(self, sid, sigma):
+    def test_tv_non_increasing_at_cfl(self, level_record, sid, sigma):
         grid = GridSpec(128)
         prob = upwind_advection(grid)
         dt = sigma * grid.dx
-        tv = tv_levels(prob, scheme_from_id(sid), 100 * dt, dt)
-        assert np.diff(tv).max() <= 1e-12
+        rec = level_record()
+        integrate(prob, scheme_from_id(sid), 100 * dt, dt, observe=rec)
+        assert np.diff(rec.tv).max() <= 1e-12
 
-    def test_tv_on_staircase(self):
+    def test_tv_on_staircase(self, level_record):
         grid = GridSpec(128)
         prob = upwind_advection(grid, initial=monotone_staircase(128))
         dt = 0.5 * grid.dx
-        tv = tv_levels(prob, scheme_from_id("ssp3"), 100 * dt, dt)
-        assert np.diff(tv).max() <= 1e-12
+        rec = level_record()
+        integrate(prob, scheme_from_id("ssp3"), 100 * dt, dt, observe=rec)
+        assert np.diff(rec.tv).max() <= 1e-12

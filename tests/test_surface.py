@@ -39,7 +39,7 @@ def test_every_package_import_resolves():
 SIGNATURES = {
     ("integrate", "start"): [("problem", REQUIRED), ("s", REQUIRED), ("dt", REQUIRED)],
     ("integrate", "integrate"): [("problem", REQUIRED), ("s", REQUIRED), ("t_end", REQUIRED),
-                                 ("dt", REQUIRED)],
+                                 ("dt", REQUIRED), ("observe", None)],
     ("integrate", "levels"): [("problem", REQUIRED), ("s", REQUIRED), ("t_end", REQUIRED),
                               ("dt", REQUIRED)],
     ("problems", "advection_diffusion_1d"): [("grid", REQUIRED), ("cfg", REQUIRED),
@@ -84,6 +84,7 @@ def test_pruned_fields(module, name):
 @pytest.mark.parametrize("owner,name", [
     ("schemes", "from_char_polys"),
     ("schemes.CoefficientSet", "scaled"),
+    ("integrate", "Trajectory"),
 ])
 def test_deleted_name_stays_deleted(owner, name):
     module, _, attr = owner.partition(".")
