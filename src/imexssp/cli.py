@@ -20,7 +20,7 @@ import numpy as np
 from . import problems
 from .csvfmt import FLOAT, fill, fmt, format_rows
 from .integrate import BlowUpError, StepFailureError, integrate
-from .schemes import BUILTIN_IDS, REGISTRY_IDS, scheme_from_id
+from .schemes import BUILTIN_IDS, REGISTRY_IDS, scheme_from_id, scheme_parameters
 from .stability import (
     curve_to_csv,
     explicit_boundary,
@@ -165,6 +165,20 @@ def _reject_unused(args, where: str, *options: str) -> None:
             raise ValueError(f"{option} applies {where} only")
 
 
+def _schemes(args, ids) -> list:
+    """(id, scheme) for each scheme id of a run, each built with the --beta
+    and --mcnab-c it reads; ValueError naming an option that no scheme of the
+    run reads."""
+    given = {name: value for name, value in (("beta", args.beta), ("mcnab_c", args.mcnab_c))
+             if value is not None}
+    for name in given:
+        if not any(name in scheme_parameters(sid) for sid in ids):
+            raise ValueError(f"--{name.replace('_', '-')} is read by none of the schemes "
+                             f"of this run: {', '.join(ids)}")
+    return [(sid, scheme_from_id(sid, **{n: given[n] for n in scheme_parameters(sid) if n in given}))
+            for sid in ids]
+
+
 def _default(args, **defaults) -> None:
     """Fill each option left at None with its default, where it acts."""
     for name, value in defaults.items():
@@ -175,7 +189,7 @@ def _default(args, **defaults) -> None:
 def cmd_regions(args) -> int:
     _check_format(args, "regions", "csv", "svg")
     _check_samples(args)
-    s = scheme_from_id(args.scheme, beta=args.beta, mcnab_c=args.mcnab_c)
+    [(_, s)] = _schemes(args, [args.scheme])
     has_explicit = any(s.b)
     has_implicit = any(s.c)
     if args.phi_family:
@@ -260,8 +274,7 @@ def cmd_converge(args) -> int:
     _check_format(args, "converge", "csv")
     if args.levels < 2:
         raise ValueError("--levels must be at least 2 to fit an order")
-    schemes = [(sid, scheme_from_id(sid, beta=args.beta, mcnab_c=args.mcnab_c))
-               for sid in ([args.scheme] if args.scheme else BUILTIN_IDS)]
+    schemes = _schemes(args, [args.scheme] if args.scheme else BUILTIN_IDS)
     # advdiff defaults tie dt to the grid's Courant step so the finest
     # explicit eigenvalues stay inside the stability region
     if args.problem == "advdiff":
@@ -301,7 +314,7 @@ def cmd_converge(args) -> int:
 
 def cmd_tvd(args) -> int:
     _check_format(args, "tvd", "csv")
-    s = scheme_from_id(args.scheme, beta=args.beta, mcnab_c=args.mcnab_c)
+    [(_, s)] = _schemes(args, [args.scheme])
     # the first k levels are exact starting values; the scheme takes the rest
     if args.steps < s.k:
         raise ValueError(f"--steps must be at least k = {s.k} for {args.scheme}, "
@@ -396,9 +409,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, scheme_default=None):
         p.add_argument("--scheme", default=scheme_default,
                        help=f"scheme id; one of: {', '.join(REGISTRY_IDS)}")
-        p.add_argument("--beta", type=_finite_float, default=0.0,
-                       help="centred-integrator parameter in [0, 1/2]")
-        p.add_argument("--mcnab-c", type=_finite_float, default=0.125, dest="mcnab_c")
+        p.add_argument("--beta", type=_finite_float, default=None,
+                       help="centred-integrator parameter in [0, 1/2] (default 0); "
+                            "centred schemes only")
+        p.add_argument("--mcnab-c", type=_finite_float, default=None, dest="mcnab_c",
+                       help="mcnab parameter (default 1/8); mcnab only")
         output(p)
 
     p = sub.add_parser("regions", help="boundary-locus curves as CSV or SVG")

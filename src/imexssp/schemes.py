@@ -30,6 +30,7 @@ __all__ = [
     "char_polys",
     "order_residual",
     "scheme_from_id",
+    "scheme_parameters",
     "polyval",
     "BUILTIN_IDS",
     "REGISTRY_IDS",
@@ -302,25 +303,46 @@ REGISTRY_IDS = BUILTIN_IDS + (
 )
 
 
-def scheme_from_id(scheme_id: str, beta=0, mcnab_c=Fraction(1, 8)) -> CoefficientSet:
-    """Look up a scheme by its registry id, applying numeric parameters where used."""
-    builders = {
-        "ssp3": lambda: ssp_explicit(3),
-        "ssp4": lambda: ssp_explicit(4),
-        "imex-biased-k3": lambda: imex_scheme("biased", 3),
-        "imex-biased-k4": lambda: imex_scheme("biased", 4),
-        "imex-centred-k3": lambda: imex_scheme("centred", 3, beta),
-        "imex-centred-k4": lambda: imex_scheme("centred", 4, beta),
-        "mcnab": lambda: mcnab(mcnab_c),
-        "imex-bdf2": imex_bdf2,
-        "implicit-biased-k3": lambda: implicit_biased(3),
-        "implicit-biased-k4": lambda: implicit_biased(4),
-        "implicit-centred-k3": lambda: implicit_centred(3, beta),
-        "implicit-centred-k4": lambda: implicit_centred(4, beta),
-        "euler": forward_euler,
-    }
+# registry id -> (builder, the numeric parameters it reads, in the builder's
+# argument order); the one place that knows which scheme reads which parameter
+_BUILDERS = {
+    "ssp3": (lambda: ssp_explicit(3), ()),
+    "ssp4": (lambda: ssp_explicit(4), ()),
+    "imex-biased-k3": (lambda: imex_scheme("biased", 3), ()),
+    "imex-biased-k4": (lambda: imex_scheme("biased", 4), ()),
+    "imex-centred-k3": (lambda beta: imex_scheme("centred", 3, beta), ("beta",)),
+    "imex-centred-k4": (lambda beta: imex_scheme("centred", 4, beta), ("beta",)),
+    "mcnab": (mcnab, ("mcnab_c",)),
+    "imex-bdf2": (imex_bdf2, ()),
+    "implicit-biased-k3": (lambda: implicit_biased(3), ()),
+    "implicit-biased-k4": (lambda: implicit_biased(4), ()),
+    "implicit-centred-k3": (lambda beta: implicit_centred(3, beta), ("beta",)),
+    "implicit-centred-k4": (lambda beta: implicit_centred(4, beta), ("beta",)),
+    "euler": (forward_euler, ()),
+}
+_PARAMETER_DEFAULTS = {"beta": 0, "mcnab_c": Fraction(1, 8)}
+
+
+def scheme_parameters(scheme_id: str) -> tuple:
+    """The numeric parameters (names as in scheme_from_id) that a registry id reads."""
     try:
-        build = builders[scheme_id]
+        return _BUILDERS[scheme_id][1]
     except KeyError:
         raise ValueError(f"unknown scheme id: {scheme_id!r}") from None
-    return build()
+
+
+def scheme_from_id(scheme_id: str, beta=None, mcnab_c=None) -> CoefficientSet:
+    """Look up a scheme by its registry id.
+
+    beta is read by the centred schemes (default 0), mcnab_c by mcnab
+    (default 1/8). A parameter left at None takes its default; one given to a
+    scheme that does not read it raises ValueError, so no value is dropped
+    unseen.
+    """
+    reads = scheme_parameters(scheme_id)
+    given = {"beta": beta, "mcnab_c": mcnab_c}
+    for name, value in given.items():
+        if value is not None and name not in reads:
+            raise ValueError(f"{scheme_id} does not read {name}")
+    build = _BUILDERS[scheme_id][0]
+    return build(*(_PARAMETER_DEFAULTS[n] if given[n] is None else given[n] for n in reads))

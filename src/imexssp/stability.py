@@ -62,18 +62,12 @@ POLE_TOLERANCE = 1e-12
 ORIGIN_TOLERANCE = 1e-9
 DEFAULT_N_THETA = 4096
 
-# Geometric offsets inserted on both sides of every pole of a locus: they let
-# angle measurements follow the curve's asymptote without adaptive recursion.
-# Depth is capped at 1e-6; closer samples would be dominated by the rounding
-# noise of locating the pole, and measure_alpha extrapolates the remaining
-# approach error away instead.
+# Geometric offsets inserted on both sides of every pole of a locus, so that
+# the sampled curve follows its asymptote (measure_alpha takes the asymptote
+# itself in closed form). Depth is capped at 1e-6; closer samples would be
+# dominated by the rounding noise of locating the pole.
 _POLE_ZOOM_OFFSETS = np.concatenate([10.0 ** -np.arange(2.0, 6.1, 0.5),
                                      -(10.0 ** -np.arange(2.0, 6.1, 0.5))])
-
-# Offsets used around a known zero crossing of an image curve; the linear
-# behaviour there fixes the wedge angle, so moderate depth is enough.
-_ZERO_ZOOM_OFFSETS = np.concatenate([10.0 ** -np.arange(1.5, 6.1, 0.5),
-                                     -(10.0 ** -np.arange(1.5, 6.1, 0.5))])
 
 # Half-width of the window around a pole inside which the locus denominator
 # is evaluated by its Taylor form anchored at the pole (cancellation-free).
@@ -86,15 +80,15 @@ class BoundaryCurve:
 
     Pole samples (where the defining denominator vanishes) keep their theta
     but carry is_pole=True; their value entries are not meaningful.
-    pole_angles lists the angles at which the underlying map is singular,
-    when the constructor knows them; measure_alpha uses them to extrapolate
-    the asymptote angle from the neighbouring samples.
+    asymptotes holds the unit directions in which the curve leaves towards
+    infinity, one per side of each pole of the underlying map, when the
+    constructor knows them; measure_alpha reads them as limits of the curve.
     """
 
     theta: np.ndarray
     values: np.ndarray
     is_pole: np.ndarray
-    pole_angles: tuple = ()
+    asymptotes: np.ndarray = ()
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
@@ -109,7 +103,7 @@ class BoundaryCurve:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "is_pole", is_pole)
-        object.__setattr__(self, "pole_angles", tuple(float(t) for t in self.pole_angles))
+        object.__setattr__(self, "asymptotes", np.asarray(self.asymptotes, dtype=complex).ravel())
 
     def __len__(self) -> int:
         return len(self.theta)
@@ -152,16 +146,17 @@ class StabilityVerdict:
 # Boundary loci
 # ---------------------------------------------------------------------------
 
-def _unit_circle_pole_angles(den_coeffs: np.ndarray) -> np.ndarray:
-    """Angles at which the denominator vanishes on the unit circle.
+def _unit_circle_poles(den_coeffs: np.ndarray):
+    """Angles at which the denominator vanishes on the unit circle, and the
+    order of each zero.
 
     Roots are clustered (a multiple root splits under rounding) and each
     cluster is represented by its mean, which is accurate to rounding even
-    for defective pairs.
+    for defective pairs; its size is the order.
     """
     coeffs = np.trim_zeros(np.asarray(den_coeffs, dtype=complex), "b")
     if len(coeffs) < 2:
-        return np.array([])
+        return np.array([]), np.array([], dtype=int)
     roots = np.roots(coeffs[::-1])
     roots = roots[np.abs(np.abs(roots) - 1.0) < 1e-6]
     clusters = []
@@ -172,7 +167,13 @@ def _unit_circle_pole_angles(den_coeffs: np.ndarray) -> np.ndarray:
                 break
         else:
             clusters.append([r])
-    return np.array([np.angle(np.mean(cl)) for cl in clusters])
+    return (np.array([np.angle(np.mean(cl)) for cl in clusters]),
+            np.array([len(cl) for cl in clusters], dtype=int))
+
+
+def _unit_circle_pole_angles(den_coeffs: np.ndarray) -> np.ndarray:
+    """The angles of _unit_circle_poles."""
+    return _unit_circle_poles(den_coeffs)[0]
 
 
 def _wrap_angle(theta: np.ndarray) -> np.ndarray:
@@ -196,6 +197,15 @@ def _theta_grid(n: int, pole_angles: np.ndarray) -> np.ndarray:
     return theta[keep]
 
 
+def _anchor_directions(lead, order) -> np.ndarray:
+    """The limit kernel: mu ~ lead * d**order near an anchor, d = theta -
+    theta_a (order 1 at a zero crossing, -m at a pole of order m), has unit
+    directions lead/|lead| * (1, (-1)**order) as d -> +0, -0 (last axis)."""
+    with np.errstate(invalid="ignore"):
+        u = lead / np.abs(lead)
+    return np.stack([u, u * (-1.0) ** order], axis=-1)
+
+
 class _Denominator:
     """A locus denominator on the unit circle, with its circle roots found
     and its pole-anchored Taylor coefficients computed once.
@@ -210,16 +220,24 @@ class _Denominator:
 
     def __init__(self, coeffs):
         self.coeffs = np.asarray(coeffs, dtype=complex)
-        self.pole_angles = _unit_circle_pole_angles(self.coeffs)
+        self.pole_angles, self.pole_orders = _unit_circle_poles(self.coeffs)
+        self.pole_z = np.exp(1j * self.pole_angles)
         self._taylor = []
-        for theta_p in self.pole_angles:
-            z_p = np.exp(1j * theta_p)
+        for theta_p, z_p in zip(self.pole_angles, self.pole_z):
             deriv, fact, terms = self.coeffs, 1.0, []
             for m in range(1, len(self.coeffs)):
                 deriv = np.polynomial.polynomial.polyder(deriv)
                 fact *= m
                 terms.append(polyval(deriv, z_p) / fact)
             self._taylor.append((theta_p, terms))
+        self.pole_lead = np.array([terms[m - 1] for (_, terms), m in zip(self._taylor, self.pole_orders)],
+                                  dtype=complex) * (1j * self.pole_z) ** self.pole_orders
+
+    def asymptotes(self, num_at_poles) -> np.ndarray:
+        """num/den's directions on both sides of each pole (_anchor_directions),
+        from num's values at the poles: with w ~ i z_p d, the leading Taylor
+        term makes num/den ~ (num(z_p) / pole_lead) / d**m."""
+        return _anchor_directions(num_at_poles / self.pole_lead, -self.pole_orders)
 
     def __call__(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
         """The denominator at z = e^(i theta)."""
@@ -298,7 +316,7 @@ def _locus(num, den, n: int) -> BoundaryCurve:
     theta = _theta_grid(n, den.pole_angles)
     values, pole = _eval_locus(num, den, theta)
     theta, values, pole = _refine_locus(num, den, theta, values, pole)
-    return BoundaryCurve(theta, values, pole, pole_angles=tuple(den.pole_angles))
+    return BoundaryCurve(theta, values, pole, den.asymptotes(polyval(num, den.pole_z)))
 
 
 def explicit_boundary(s: CoefficientSet, n: int = DEFAULT_N_THETA) -> BoundaryCurve:
@@ -355,6 +373,13 @@ class _ImageMap:
         self.A = polys.A.astype(complex)
         self.B = polys.B
         self.C = _Denominator(polys.C)
+        der = np.polynomial.polynomial.polyder
+        self.dA, self.dB, self.dC = der(self.A), der(self.B), der(polys.C)
+        self.d2A, self.d2B = der(self.dA), der(self.dB)
+
+    def numerator(self, lams, z) -> np.ndarray:
+        """A(z) - lam B(z) for lams and z broadcast against each other."""
+        return polyval(self.A, z) - np.asarray(lams) * polyval(self.B, z)
 
     def on(self, theta) -> _CircleGrid:
         """A theta set with C evaluated on it, reusable for many lambdas."""
@@ -368,6 +393,18 @@ class _ImageMap:
         for i in range(2, num.shape[-1] + 1):
             acc = num[..., -i] + acc * z
         return grid.quotient(acc)
+
+    def crossing_terms(self, lams, grid: _CircleGrid):
+        """dmu/dtheta and d2mu/dtheta2 (lams and grid.theta broadcast) where
+        N = A - lam B vanishes: mu' = N' z'/C, the leading Taylor term, and
+        mu'' = (N'' z'^2 + N' z'' - 2 mu' C' z')/C, with z' = iz, z'' = -z."""
+        z = grid.z
+        n1 = polyval(self.dA, z) - lams * polyval(self.dB, z)
+        n2 = polyval(self.d2A, z) - lams * polyval(self.d2B, z)
+        z1, z2 = 1j * z, -z
+        mu1 = grid.quotient(n1 * z1)
+        mu2 = grid.quotient(n2 * z1 * z1 + n1 * z2 - 2 * mu1 * polyval(self.dC, z) * z1)
+        return mu1, mu2
 
     def blocks(self, lams: np.ndarray, theta: np.ndarray):
         """(rows, theta, mu) per block of about _BLOCK_SAMPLES samples; theta
@@ -392,10 +429,14 @@ def mu_map(s: CoefficientSet, lam: complex, theta: float):
     """Implicit eigenvalue that places a characteristic root at e^(i theta).
 
     Returns None where the implicit polynomial C vanishes (a pole of the map).
-    With lam=0 this is the implicit boundary locus pointwise.
+    With lam=0 this is the implicit boundary locus pointwise. lam and theta
+    must be scalars; mu_image and imex_alpha_sweep map many at once.
     """
     lam = finite_array(lam, "lambda")
     theta = finite_array(theta, "theta")
+    for name, value in (("lambda", lam), ("theta", theta)):
+        if value.ndim:
+            raise ValueError(f"{name} must be a scalar, got shape {value.shape}")
     image = _image_map(s)
     grid = image.on(np.atleast_1d(theta.astype(float)))
     if grid.pole[0]:
@@ -411,7 +452,7 @@ def mu_image(s: CoefficientSet, lam: complex, n: int = DEFAULT_N_THETA) -> Bound
     image = _image_map(s)
     grid = image.on(_theta_grid(n, image.C.pole_angles))
     return BoundaryCurve(grid.theta, image(lam, grid), grid.pole,
-                         pole_angles=tuple(image.C.pole_angles))
+                         image.C.asymptotes(image.numerator(lam, image.C.pole_z)))
 
 
 # ---------------------------------------------------------------------------
@@ -490,49 +531,12 @@ def _min_angle(values: np.ndarray) -> float:
     return float(np.arctan2(np.abs(v.imag), -v.real).min())
 
 
-def _sample_angles(values: np.ndarray) -> np.ndarray:
-    """Angle from the negative real axis per sample; nan where unconstraining."""
-    out = np.full(len(values), np.nan)
-    mask = np.isfinite(values) & (values.real < -ORIGIN_TOLERANCE)
-    out[mask] = np.arctan2(np.abs(values[mask].imag), -values[mask].real)
-    return out
-
-
-def _asymptote_angle(curve: BoundaryCurve, theta_p: float) -> float:
-    """Wedge angle of the asymptote at a pole, extrapolated from the
-    neighbouring samples on each side (the approach error is linear in the
-    offset, so two samples per side suffice)."""
-    d = _wrap_diff(curve.theta, theta_p)
-    angles = _sample_angles(curve.values)
-    best = math.pi / 2
-    for side in (1, -1):
-        sel = np.nonzero((np.sign(d) == side) & (np.abs(d) < _POLE_WINDOW)
-                         & ~np.isnan(angles))[0]
-        if len(sel) == 0:
-            continue
-        order = sel[np.argsort(np.abs(d[sel]))]
-        a1 = angles[order[0]]
-        if len(order) == 1:
-            best = min(best, a1)
-            continue
-        d1, d2 = abs(d[order[0]]), abs(d[order[1]])
-        a2 = angles[order[1]]
-        extrapolated = a1 - d1 * (a2 - a1) / (d2 - d1)
-        best = min(best, max(0.0, extrapolated))
-    return best
-
-
 def measure_alpha(curve: BoundaryCurve) -> WedgeAngle:
-    """Measured wedge half-angle admitted by a sampled boundary curve.
-
-    The base measure is the smallest sample angle from the negative real
-    axis; where the curve's pole angles are known, the asymptote angle at
-    each pole is extrapolated from the neighbouring samples and included.
-    """
-    alpha = _min_angle(curve.finite_values())
-    for theta_p in curve.pole_angles:
-        alpha = min(alpha, _asymptote_angle(curve, theta_p))
-    return WedgeAngle.from_alpha(alpha)
+    """Measured wedge half-angle admitted by a sampled boundary curve: the
+    smallest angle from the negative real axis over its finite samples and
+    its asymptote directions (the limits at the poles of the map)."""
+    return WedgeAngle.from_alpha(
+        _min_angle(np.concatenate([curve.finite_values(), curve.asymptotes])))
 
 
 def alpha_closed_form(variant: str, k: int, beta, nu=None) -> WedgeAngle:
@@ -540,15 +544,17 @@ def alpha_closed_form(variant: str, k: int, beta, nu=None) -> WedgeAngle:
 
     variant "implicit_centred": the pure implicit integrator's angle.
     variant "imex_centred": the IMEX angle when the explicit eigenvalues are
-    confined to |Im| <= nu; nu must not exceed the variant's admissible bound.
+    confined to |Im| <= nu; nu must be finite and positive and must not
+    exceed the variant's admissible bound. beta must lie in [0, 1/2], the
+    range implicit_centred accepts.
     """
     if k not in (3, 4):
         raise ValueError(f"unsupported step count: k={k}")
     beta = float(beta)
-    if beta >= 1.0:
-        raise ValueError("beta must be < 1")
+    if not 0.0 <= beta <= 0.5:
+        raise ValueError(f"beta must lie in [0, 1/2], got {beta}")
     gamma = beta / (beta - 1.0)
-    root = math.sqrt(max(0.0, 1.0 - gamma * gamma))
+    root = math.sqrt(1.0 - gamma * gamma)
     if k == 3:
         numer = (2.0 + gamma) * root
         denom = (gamma - 1.0) ** 2
@@ -562,6 +568,8 @@ def alpha_closed_form(variant: str, k: int, beta, nu=None) -> WedgeAngle:
     if variant == "imex_centred":
         if nu is None:
             raise ValueError("imex_centred requires the imaginary bound nu")
+        if not (math.isfinite(nu) and nu > 0):
+            raise ValueError(f"nu must be finite and positive, got {nu}")
         bound = numer / 3.0
         if nu > bound + 1e-15:
             raise ValueError(
@@ -574,8 +582,8 @@ def alpha_closed_form(variant: str, k: int, beta, nu=None) -> WedgeAngle:
 # _COARSE_THETA circle angles; its _REFINE_CELLS best local minima are refined
 # by _GOLDEN_STEPS golden-section steps. The refinement keeps _ANCHOR_HOLE away
 # from the poles and from each lambda's own curve parameter: there the minimum
-# is a limit (asymptote or zero-crossing slope) that the zoom samples carry,
-# and rounding noise in mu, growing towards the anchor, would decide.
+# is a limit (asymptote or zero-crossing slope) that the sweep takes in closed
+# form, and rounding noise in mu, growing towards the anchor, would decide.
 _COARSE_THETA = 512
 _LAMBDA_STRIDE = 8
 _REFINE_CELLS = 8
@@ -589,10 +597,13 @@ class SweepResult:
     """Worst-case wedge of imex_alpha_sweep and the sample attaining it.
 
     alpha and tan_alpha are WedgeAngle.from_tan of the least |Im mu| / -Re mu.
-    The witness (theta_star, lam, theta, mu) is the explicit eigenvalue, its
-    curve parameter, the circle angle and the image there; None when nothing
-    constrains (alpha = pi/2). n_evals counts image samples; resolution is
-    the theta width of the final golden-section brackets.
+    The witness (theta_star, lam, theta, mu, kind) is the explicit
+    eigenvalue, its curve parameter, the circle angle and, for kind "sample",
+    the image there or, for kind "limit", the unit direction in which the
+    image approaches the anchor theta (a pole, or theta_star); None when
+    nothing constrains (alpha = pi/2). n_evals counts image samples and limit
+    directions; resolution is the theta width of the final golden-section
+    brackets.
     """
 
     alpha: float
@@ -601,6 +612,7 @@ class SweepResult:
     lam: complex | None
     theta: float | None
     mu: complex | None
+    kind: str | None
     n_evals: int
     resolution: float
 
@@ -610,12 +622,13 @@ class _Worst:
 
     def __init__(self):
         self.ratio = math.inf
-        self.at = None  # (lambda index, theta, mu)
+        self.at = None  # (lambda index, theta, mu, kind)
         self.n_evals = 0
 
-    def offer(self, at, theta, mu: np.ndarray) -> np.ndarray:
+    def offer(self, at, theta, mu: np.ndarray, kind: str) -> np.ndarray:
         """Ratios of mu at (lambda indices at, theta), broadcast to mu's shape;
-        inf where a sample does not constrain (pole, Re mu >= -ORIGIN_TOLERANCE)."""
+        inf where mu does not constrain (pole, Re mu >= -ORIGIN_TOLERANCE).
+        kind says whether mu holds image samples or limit directions."""
         neg = -mu.real
         constrains = neg > ORIGIN_TOLERANCE
         r = np.where(constrains, np.abs(mu.imag) / np.where(constrains, neg, 1.0), np.inf)
@@ -624,7 +637,7 @@ class _Worst:
         if r[i] < self.ratio:
             self.ratio = float(r[i])
             self.at = (int(np.broadcast_to(at, r.shape)[i]),
-                       float(np.broadcast_to(theta, r.shape)[i]), complex(mu[i]))
+                       float(np.broadcast_to(theta, r.shape)[i]), complex(mu[i]), kind)
         return r
 
 
@@ -653,9 +666,10 @@ def imex_alpha_sweep(s: CoefficientSet, lambda_curve: BoundaryCurve,
     as tight as mapping every lambda over the uniform n_theta grid (up to
     rounding) without doing so:
 
-    1. every lambda is mapped at the zoom samples around the poles of the map
-       and around its own curve parameter (where the image crosses zero when
-       lambda lies on the locus);
+    1. every lambda contributes the limits of its image at the anchors: the
+       poles of the map, and its own curve parameter where its image passes
+       through zero (lambda on the explicit locus); each side of an anchor
+       gives the direction of the leading Taylor term (_anchor_directions);
     2. every _LAMBDA_STRIDE-th lambda is mapped over a coarse subset of the
        n_theta grid;
     3. each lambda near the best local minima of that scan is mapped over
@@ -676,15 +690,20 @@ def imex_alpha_sweep(s: CoefficientSet, lambda_curve: BoundaryCurve,
     def ratios(at, theta):
         r = np.empty((len(at), theta.shape[-1]))
         for rows, th, mu in image.blocks(lams[at], theta):
-            r[rows] = worst.offer(at[rows, None], th, mu)
+            r[rows] = worst.offer(at[rows, None], th, mu, "sample")
         return r
 
-    # 1. zoom samples
+    # 1. limits at the anchors
     index = np.arange(len(lams))
     poles = image.C.pole_angles
     if len(poles):
-        ratios(index, _wrap_angle(poles[:, None] + _POLE_ZOOM_OFFSETS).ravel())
-    ratios(index, _wrap_angle(lam_thetas[:, None] + _ZERO_ZOOM_OFFSETS))
+        worst.offer(index[:, None, None], _wrap_angle(poles)[:, None],
+                    image.C.asymptotes(image.numerator(lams[:, None], image.C.pole_z)),
+                    "limit")
+    star = image.on(lam_thetas)
+    through_zero = np.abs(star.quotient(image.numerator(lams, star.z))) <= ORIGIN_TOLERANCE
+    slope = np.where(through_zero, image.crossing_terms(lams, star)[0], np.nan)
+    worst.offer(index[:, None], lam_thetas[:, None], _anchor_directions(slope, 1), "limit")
 
     # 2. coarse scan
     dense = np.linspace(-np.pi, np.pi, n_theta, endpoint=False)
@@ -723,16 +742,16 @@ def imex_alpha_sweep(s: CoefficientSet, lambda_curve: BoundaryCurve,
         for theta_p in poles:
             near |= np.abs(_wrap_diff(x, theta_p)) < _ANCHOR_HOLE
         mu[near] = np.nan
-        return worst.offer(at, x, mu)
+        return worst.offer(at, x, mu, "sample")
 
     h = 2 * np.pi / n_theta
     if len(at):
         _golden_min(ratio_at, centre - h, centre + h, _GOLDEN_STEPS)
     w = WedgeAngle.from_tan(worst.ratio)
-    i, theta, mu = worst.at or (None, None, None)
+    i, theta, mu, kind = worst.at or (None, None, None, None)
     return SweepResult(w.alpha, w.tan_alpha,
                        None if i is None else float(lam_thetas[i]),
-                       None if i is None else complex(lams[i]), theta, mu,
+                       None if i is None else complex(lams[i]), theta, mu, kind,
                        worst.n_evals, 2 * h * _INV_PHI ** _GOLDEN_STEPS)
 
 
@@ -741,7 +760,9 @@ def restrict_curve(curve: BoundaryCurve, nu: float) -> BoundaryCurve:
 
     Excursions beyond the strip are replaced by straight segments along
     Im = +/-nu between the interpolated crossing points, so the result is the
-    closed boundary of the restricted stability region.
+    closed boundary of the restricted stability region. The curve is closed:
+    an excursion may run across the seam theta = +/-pi, and the result's
+    theta still increases strictly in [-pi, pi).
     """
     if not nu > 0:
         raise ValueError("nu must be positive")
@@ -751,8 +772,16 @@ def restrict_curve(curve: BoundaryCurve, nu: float) -> BoundaryCurve:
     inside = np.abs(values.imag) <= nu
     if inside.all():
         return BoundaryCurve(theta, values, np.zeros(len(theta), dtype=bool))
-    if not (inside[0] and inside[-1]):
-        raise ValueError("curve must start and end inside the strip")
+    if not inside.any():
+        raise ValueError("no sample of the curve lies inside the strip")
+    seam = not (inside[0] and inside[-1])
+    if seam:
+        # open the closed curve at its first inside sample instead, and close
+        # it with that sample one turn later (dropped again below)
+        start = int(np.argmax(inside))
+        theta = np.concatenate([theta[start:], theta[:start + 1] + 2 * np.pi])
+        values = np.concatenate([values[start:], values[:start + 1]])
+        inside = np.concatenate([inside[start:], inside[:start + 1]])
 
     def crossing(i, j, edge):
         t = (edge - values[i].imag) / (values[j].imag - values[i].imag)
@@ -784,6 +813,11 @@ def restrict_curve(curve: BoundaryCurve, nu: float) -> BoundaryCurve:
         i = j
     new_theta = np.asarray(new_theta)
     new_vals = np.asarray(new_vals)
+    if seam:
+        new_theta = new_theta[:-1]
+        new_theta = np.where(new_theta >= np.pi, new_theta - 2 * np.pi, new_theta)
+        order = np.argsort(new_theta, kind="stable")
+        new_theta, new_vals = new_theta[order], new_vals[:-1][order]
     keep = np.concatenate([[True], np.diff(new_theta) > 1e-15])
     return BoundaryCurve(new_theta[keep], new_vals[keep],
                          np.zeros(int(keep.sum()), dtype=bool))

@@ -26,6 +26,7 @@ from .schemes import (
     ssp_explicit,
 )
 from .stability import (
+    _image_map,
     alpha_closed_form,
     explicit_boundary,
     image_winding_number,
@@ -36,7 +37,6 @@ from .stability import (
     measure_alpha,
     min_image_real_part,
     mu_image,
-    mu_map,
     restrict_curve,
     root_verdicts,
     zero_expansion_coefficients,
@@ -139,7 +139,7 @@ def check_imex_k4_wedge(scale: float = 1.0) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# 5. Local expansion coefficients against finite differences
+# 5. Local expansion coefficients against the exact derivatives
 # ---------------------------------------------------------------------------
 
 def check_zero_slope_expansion(scale: float = 1.0) -> CheckResult:
@@ -147,33 +147,18 @@ def check_zero_slope_expansion(scale: float = 1.0) -> CheckResult:
     n_samples = 32
     rng = np.random.default_rng(42)
     thetas = rng.uniform(-math.pi, math.pi, n_samples)
-    h = 1e-3
     worst = 0.0
-    schemes = {k: imex_scheme("biased", k) for k in (3, 4)}
-    for theta_star in thetas:
-        for k, s in schemes.items():
-            # the quoted coefficients follow the clockwise circle z = e^{-i theta}
-            lam = lambda_at(s, -theta_star)
-
-            def phi(t):
-                return mu_map(s, lam, -t)
-
-            if k == 3:
-                def second(hh):
-                    return (phi(theta_star + hh).real - 2 * phi(theta_star).real
-                            + phi(theta_star - hh).real) / (2 * hh * hh)
-
-                fd = (4 * second(h / 2) - second(h)) / 3
-                ref = zero_expansion_coefficients(3, theta_star)
-                worst = max(worst, abs(fd - ref) / max(abs(ref), 1e-8))
-            else:
-                def first(hh):
-                    return (phi(theta_star + hh) - phi(theta_star - hh)) / (2 * hh)
-
-                fd = (4 * first(h / 2) - first(h)) / 3
-                re_ref, im_ref = zero_expansion_coefficients(4, theta_star)
-                worst = max(worst, abs(fd.real - re_ref) / max(abs(re_ref), 1e-8))
-                worst = max(worst, abs(fd.imag - im_ref) / max(abs(im_ref), 1e-8))
+    for k in (3, 4):
+        s = imex_scheme("biased", k)
+        image = _image_map(s)
+        # the quoted coefficients follow the clockwise circle z = e^{-i theta},
+        # on which the first derivative changes sign and the second does not
+        mu1, mu2 = image.crossing_terms(lambda_at(s, -thetas), image.on(-thetas))
+        for theta_star, d1, d2 in zip(thetas, -mu1, mu2):
+            ref = zero_expansion_coefficients(k, theta_star)
+            pairs = [(d2.real / 2, ref)] if k == 3 else [(d1.real, ref[0]), (d1.imag, ref[1])]
+            for got, want in pairs:
+                worst = max(worst, abs(got - want) / max(abs(want), 1e-8))
     passed = worst <= tol
     return CheckResult(
         "zero-slope-expansion", passed,
@@ -198,7 +183,7 @@ def angle_table(n_lambda: int = 1024, n_theta: int = 4096):
             "scheme": scheme, "params": params, "alpha_measured": w.alpha,
             "alpha_closed_form": closed, "alpha_reference": reference,
             "witness_theta_star": w.theta_star, "witness_lambda": w.lam,
-            "witness_theta": w.theta, "witness_mu": w.mu,
+            "witness_theta": w.theta, "witness_mu": w.mu, "witness_kind": w.kind,
             "n_evals": w.n_evals, "resolution": w.resolution,
         })
 

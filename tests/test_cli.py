@@ -304,6 +304,29 @@ class TestRejectedOptions:
         _, given = run_csv(tmp_path, mode + defaults, "given.csv")
         assert implied == given
 
+    @pytest.mark.parametrize("argv,option", [
+        (["converge", "--scheme", "ssp3", "--beta", "0.4"], "--beta"),
+        (["converge", "--scheme", "imex-centred-k3", "--mcnab-c", "0.5"], "--mcnab-c"),
+        (["regions", "--scheme", "ssp3", "--mcnab-c", "0.5"], "--mcnab-c"),
+        (["regions", "--scheme", "mcnab", "--beta", "0.25"], "--beta"),
+        (["tvd", "--scheme", "ssp3", "--beta", "0.3"], "--beta"),
+    ])
+    def test_parameter_no_scheme_reads_rejected(self, tmp_path, capsys, argv, option):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and option in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_full_converge_run_reads_both_parameters(self, tmp_path):
+        # without --scheme the run holds the centred schemes and mcnab
+        rows, _ = run_csv(tmp_path, ["converge", "--beta", "0.4", "--mcnab-c", "0.5"], "all.csv")
+        for sid, option, value in (("imex-centred-k3", "--beta", "0.4"),
+                                   ("mcnab", "--mcnab-c", "0.5")):
+            alone, _ = run_csv(tmp_path, ["converge", "--scheme", sid, option, value], "one.csv")
+            assert [r for r in rows if r["scheme"] == sid] == alone
+
     def test_malformed_parameter_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["converge", "--beta", "half"])

@@ -219,6 +219,16 @@ class TestInvariants:
         with pytest.raises(ValueError, match="unknown scheme id"):
             scheme_from_id("rk4")
 
+    @pytest.mark.parametrize("sid,params", [
+        ("ssp3", {"beta": 0.4}),
+        ("imex-biased-k3", {"mcnab_c": 0.5}),
+        ("mcnab", {"beta": 0.0}),
+        ("implicit-centred-k4", {"mcnab_c": 0.125}),
+    ])
+    def test_parameter_the_scheme_does_not_read_rejected(self, sid, params):
+        with pytest.raises(ValueError, match=f"{sid} does not read {next(iter(params))}"):
+            scheme_from_id(sid, **params)
+
     def test_registry_parameters(self):
         s = scheme_from_id("imex-centred-k3", beta=0.25)
         assert s.c[1] == 0.25  # the centred weights are ((1-beta)/2, beta, (1-beta)/2)

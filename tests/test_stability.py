@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imexssp import stability
 from imexssp.schemes import (
     REGISTRY_IDS,
     char_polys,
@@ -289,7 +290,7 @@ class TestSymmetries:
         base = measure_alpha(curve).alpha
         for c in (0.1, 3.0, 250.0):
             scaled = BoundaryCurve(curve.theta, c * curve.values, curve.is_pole,
-                                   pole_angles=curve.pole_angles)
+                                   asymptotes=curve.asymptotes)
             assert measure_alpha(scaled).alpha == pytest.approx(base, abs=1e-12)
 
 
@@ -306,6 +307,20 @@ class TestEdgeCases:
     def test_closed_form_beta_near_one(self):
         with pytest.raises(ValueError, match="beta"):
             alpha_closed_form("implicit_centred", 3, 1.0)
+
+    @pytest.mark.parametrize("variant,beta,nu,name", [
+        ("implicit_centred", 0.7, None, "beta"),
+        ("implicit_centred", -5.0, None, "beta"),
+        ("implicit_centred", math.nan, None, "beta"),
+        ("imex_centred", 0.6, 0.1, "beta"),
+        ("imex_centred", 0.0, -1.0, "nu"),
+        ("imex_centred", 0.0, 0.0, "nu"),
+        ("imex_centred", 0.0, math.nan, "nu"),
+        ("imex_centred", 0.0, math.inf, "nu"),
+    ])
+    def test_closed_form_bad_input_rejected(self, variant, beta, nu, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            alpha_closed_form(variant, 3, beta, nu)
 
     def test_mu_image_needs_16_samples(self):
         with pytest.raises(ValueError, match="16"):
@@ -350,6 +365,32 @@ class TestRestrictCurve:
     def test_nu_positive(self):
         with pytest.raises(ValueError, match="positive"):
             restrict_curve(explicit_boundary(ssp_explicit(3), 64), 0.0)
+
+    @pytest.mark.parametrize("k,nu", [(3, 1e-6), (4, 1e-3), (3, 1 / 3)])
+    def test_excursion_across_the_seam(self, k, nu):
+        # the same closed locus, its seam theta = +/-pi moved into the middle
+        # of an excursion, clips to the same points
+        curve = explicit_boundary(ssp_explicit(k), 256)
+        outside = np.flatnonzero(np.abs(curve.values.imag) > nu)
+        shift = np.pi - curve.theta[outside[len(outside) // 2]] - 1e-3
+        moved = stability._wrap_angle(curve.theta + shift)
+        order = np.argsort(moved)
+        rotated = BoundaryCurve(moved[order], curve.values[order], curve.is_pole[order])
+        assert not (np.abs(rotated.values[[0, -1]].imag) <= nu).all()
+        clipped = restrict_curve(rotated, nu)
+        assert np.all(np.diff(clipped.theta) > 0)
+        assert -np.pi <= clipped.theta[0] and clipped.theta[-1] < np.pi
+        assert np.max(np.abs(clipped.values.imag)) <= nu * (1 + 1e-12)
+        if (np.abs(curve.values[[0, -1]].imag) <= nu).all():
+            want = restrict_curve(curve, nu)
+            back = np.argsort(stability._wrap_angle(clipped.theta - shift))
+            np.testing.assert_allclose(clipped.values[back], want.values, rtol=0, atol=1e-12)
+
+    def test_curve_entirely_outside_rejected(self):
+        theta = np.linspace(-np.pi, np.pi, 16, endpoint=False)
+        curve = BoundaryCurve(theta, np.exp(1j * theta) + 2j, np.zeros(16, dtype=bool))
+        with pytest.raises(ValueError, match="inside the strip"):
+            restrict_curve(curve, 0.5)
 
 
 class TestWindingTest:

@@ -85,6 +85,10 @@ def test_pruned_fields(module, name):
     ("schemes", "from_char_polys"),
     ("schemes.CoefficientSet", "scaled"),
     ("integrate", "Trajectory"),
+    ("stability", "_ZERO_ZOOM_OFFSETS"),
+    ("stability", "_asymptote_angle"),
+    ("stability", "_sample_angles"),
+    ("stability.BoundaryCurve", "pole_angles"),
 ])
 def test_deleted_name_stays_deleted(owner, name):
     module, _, attr = owner.partition(".")

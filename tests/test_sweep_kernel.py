@@ -90,6 +90,11 @@ def old_min_angle(values):
     return float(np.arctan2(np.abs(v.imag), -v.real).min())
 
 
+# the old sweep's zoom samples around each lambda's own curve parameter
+ZERO_ZOOM_OFFSETS = np.concatenate([10.0 ** -np.arange(1.5, 6.1, 0.5),
+                                    -(10.0 ** -np.arange(1.5, 6.1, 0.5))])
+
+
 def old_dense_sweep(s, lambda_curve, n_theta, block=64):
     polys = char_polys(s)
     keep = ~lambda_curve.is_pole
@@ -110,7 +115,7 @@ def old_dense_sweep(s, lambda_curve, n_theta, block=64):
         phi[:, pole] = np.nan
         alpha = min(alpha, old_min_angle(phi.ravel()))
         th_extra = np.mod(lam_thetas[start:start + block, None]
-                          + stability._ZERO_ZOOM_OFFSETS[None, :] + np.pi, 2 * np.pi) - np.pi
+                          + ZERO_ZOOM_OFFSETS[None, :] + np.pi, 2 * np.pi) - np.pi
         z_e = np.exp(1j * th_extra)
         C_e = polyval(polys.C, z_e)
         pole_e = np.abs(C_e) < POLE_TOLERANCE
@@ -223,10 +228,18 @@ def test_witness_reproduces_the_angle(table):
     for s, curve, _, result in calls:
         if result.lam is None:
             assert result.alpha == math.pi / 2
-            assert result.theta_star is result.theta is result.mu is None
+            assert result.theta_star is result.theta is result.mu is result.kind is None
             continue
-        mu = mu_map(s, result.lam, result.theta)
-        assert mu == result.mu
+        mu = result.mu
+        if result.kind == "sample":
+            assert mu_map(s, result.lam, result.theta) == mu
+        else:
+            # a limit's mu is the unit direction at its anchor: a pole of the
+            # map, or the eigenvalue's own curve parameter
+            assert result.kind == "limit"
+            assert abs(mu) == pytest.approx(1.0, abs=1e-15)
+            poles = stability._wrap_angle(stability._image_map(s).C.pole_angles)
+            assert result.theta == result.theta_star or result.theta in poles
         assert math.atan(abs(mu.imag) / -mu.real) == pytest.approx(result.alpha, abs=1e-12)
         i = np.flatnonzero(curve.values == result.lam)
         assert len(i) and curve.theta[i[0]] == result.theta_star
@@ -288,6 +301,16 @@ def test_non_finite_theta_rejected(bad):
     if np.ndim(bad) == 0:
         with pytest.raises(ValueError, match="theta must be finite"):
             mu_map(s, -0.5, bad)
+
+
+@pytest.mark.parametrize("lam,theta,name", [
+    (np.array([-0.5, -0.4]), 0.1, "lambda"),
+    (-0.5, np.array([0.1, 0.2]), "theta"),
+    (-0.5, [[0.1]], "theta"),
+])
+def test_array_input_to_mu_map_rejected(lam, theta, name):
+    with pytest.raises(ValueError, match=f"{name} must be a scalar"):
+        mu_map(scheme_from_id("imex-biased-k3"), lam, theta)
 
 
 @pytest.mark.parametrize("command", [
@@ -365,6 +388,18 @@ def test_angles_json_carries_the_witness(tmp_path):
         mu_re, mu_im = row["witness_mu"]
         assert mu_re < 0
         assert math.atan(abs(mu_im) / -mu_re) == pytest.approx(row["alpha_measured"], abs=1e-12)
+
+
+def test_angles_json_names_the_witness_kind(tmp_path):
+    out = tmp_path / "angles.json"
+    assert main(["angles", "--n-lambda", "128", "--n-theta", "512",
+                 "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload[0]["witness_kind"] is None  # imex-biased-k3 is A-stable
+    for row in payload[1:]:
+        assert row["witness_kind"] in ("sample", "limit")
+        if row["witness_kind"] == "limit":
+            assert abs(complex(*row["witness_mu"])) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_angles_csv_header_unchanged(capsys):
