@@ -64,7 +64,7 @@ def constraining(directions):
 # The kernel against sampled images
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(sid=st.sampled_from(IMEX_IDS),
        theta_star=st.floats(-math.pi, math.pi, exclude_max=True),
        exponent=st.floats(-6.0, -3.0))
@@ -100,7 +100,7 @@ def pole_case(case, theta_star):
     return imex_scheme("centred", k, beta), complex(lambda_at(ssp_explicit(k), theta_star))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(case=st.sampled_from(POLE_CASES),
        theta_star=st.floats(-math.pi, math.pi, exclude_max=True),
        exponent=st.floats(-6.0, -3.0))
