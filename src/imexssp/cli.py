@@ -175,7 +175,8 @@ def _schemes(args, ids) -> list:
         if not any(name in scheme_parameters(sid) for sid in ids):
             raise ValueError(f"--{name.replace('_', '-')} is read by none of the schemes "
                              f"of this run: {', '.join(ids)}")
-    return [(sid, scheme_from_id(sid, **{n: given[n] for n in scheme_parameters(sid) if n in given}))
+    return [(sid, scheme_from_id(sid, **{n: v for n, v in given.items()
+                                          if n in scheme_parameters(sid)}))
             for sid in ids]
 
 

@@ -230,8 +230,8 @@ class _Denominator:
                 fact *= m
                 terms.append(polyval(deriv, z_p) / fact)
             self._taylor.append((theta_p, terms))
-        self.pole_lead = np.array([terms[m - 1] for (_, terms), m in zip(self._taylor, self.pole_orders)],
-                                  dtype=complex) * (1j * self.pole_z) ** self.pole_orders
+        t_m = [terms[m - 1] for (_, terms), m in zip(self._taylor, self.pole_orders)]
+        self.pole_lead = np.array(t_m, dtype=complex) * (1j * self.pole_z) ** self.pole_orders
 
     def asymptotes(self, num_at_poles) -> np.ndarray:
         """num/den's directions on both sides of each pole (_anchor_directions),

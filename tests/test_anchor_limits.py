@@ -35,7 +35,8 @@ from imexssp.stability import (
     mu_map,
 )
 
-IMEX_IDS = [sid for sid in BUILTIN_IDS if any(scheme_from_id(sid).b) and any(scheme_from_id(sid).c)]
+IMEX_IDS = [sid for sid in BUILTIN_IDS
+            if any(scheme_from_id(sid).b) and any(scheme_from_id(sid).c)]
 CENTRED = [(k, beta) for k in (3, 4) for beta in (0.0, 0.1, 0.25, 0.4, 0.5)]
 
 # |ratio(theta_a + d) - limit ratio| <= LIMIT_K * d. The slope of the ratio
