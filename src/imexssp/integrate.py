@@ -335,7 +335,10 @@ def step(s: CoefficientSet, h: History, op: LinearSplitOperator):
     rhs collects the k stored levels with their a, b, c weights, read from
     the scheme's step_weights() (Python floats built once per scheme); zero
     weights are skipped. b_0 = 0 by construction so no new explicit
-    evaluation enters the solve.
+    evaluation enters the solve. rhs starts from the float 0.0, which gives
+    elementwise what a zero array gives (0.0 - x and 0.0 + x, signed zeros
+    included) without building one; a scheme with no nonzero history weight
+    starts from a zero array, so that y_new is still an array.
     """
     if h.k != s.k:
         raise ValueError(f"history holds {h.k} levels but the scheme needs {s.k}")
@@ -343,7 +346,7 @@ def step(s: CoefficientSet, h: History, op: LinearSplitOperator):
     if a0 == 0:
         raise ValueError("a_0 must be nonzero")
     dt = h.dt
-    rhs = np.zeros_like(h.y[0])
+    rhs = 0.0 if terms else np.zeros_like(h.y[0])
     for lvl, a, b, c in terms:
         if a:
             rhs = rhs - a * h.y[lvl]
@@ -408,7 +411,7 @@ def levels(problem: SplitProblem, s: CoefficientSet, t_end: float, dt: float):
         y = step(s, h, problem.operator)
         norm = float(np.abs(y).max())
         yield j, y, norm
-        if not np.isfinite(norm) or norm > BLOWUP_LIMIT:
+        if not math.isfinite(norm) or norm > BLOWUP_LIMIT:
             raise BlowUpError(j, norm)
 
 

@@ -284,31 +284,47 @@ def _eval_locus(num, den: _Denominator, theta):
     return grid.quotient(polyval(num, grid.z)), grid.pole
 
 
+def _too_coarse(v0, pole0, v1, pole1):
+    """Which intervals to split: both ends finite, and the values differ by
+    more than 1e-6 and by 0.02 of the local scale or 0.05 in argument."""
+    both = ~(pole0 | pole1)
+    dv = np.abs(v1 - v0)
+    scale = np.maximum(1.0, np.minimum(np.abs(v0), np.abs(v1)))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        darg = np.abs(np.angle(np.where(both, v1, 1.0) / np.where(both, v0, 1.0)))
+    return both & (dv > 1e-6) & ((dv > 0.02 * scale) | (darg > 0.05))
+
+
 def _refine_locus(num, den: _Denominator, theta, values, pole):
     """Insert midpoints where adjacent finite samples differ too much.
 
-    The thresholds (0.02 in modulus, relative to the local scale, and 0.05 in
-    argument) keep the sampled polyline faithful near sharp features; passes
-    are capped at 8 so poles cannot trigger unbounded refinement.
+    The thresholds (_too_coarse) keep the sampled polyline faithful near
+    sharp features; passes are capped at 8 so poles cannot trigger unbounded
+    refinement.
+
+    An interval that a pass leaves whole keeps both endpoints, so its verdict
+    cannot change: the first pass tests every interval, each later pass only
+    the two halves of every interval the pass before split. Midpoints are
+    sorted in once, at the end; none ties with a sample, since 8 halvings of
+    the closest samples (the 1e-6 pole zoom) still leave about 4e-9.
     """
+    parts = [(theta, values, pole)]
+    # each interval as its (theta, value, pole) at the left and right end
+    left, right = (theta[:-1], values[:-1], pole[:-1]), (theta[1:], values[1:], pole[1:])
     for _ in range(8):
-        v0, v1 = values[:-1], values[1:]
-        both = ~(pole[:-1] | pole[1:])
-        dv = np.abs(v1 - v0)
-        scale = np.maximum(1.0, np.minimum(np.abs(v0), np.abs(v1)))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            darg = np.abs(np.angle(np.where(both, v1, 1.0) / np.where(both, v0, 1.0)))
-        bad = both & (dv > 1e-6) & ((dv > 0.02 * scale) | (darg > 0.05))
+        bad = _too_coarse(left[1], left[2], right[1], right[2])
         if not bad.any():
             break
-        mid = 0.5 * (theta[:-1][bad] + theta[1:][bad])
-        mv, mp = _eval_locus(num, den, mid)
-        theta = np.concatenate([theta, mid])
-        values = np.concatenate([values, mv])
-        pole = np.concatenate([pole, mp])
-        order = np.argsort(theta)
-        theta, values, pole = theta[order], values[order], pole[order]
-    return theta, values, pole
+        left = tuple(x[bad] for x in left)
+        right = tuple(x[bad] for x in right)
+        mid = 0.5 * (left[0] + right[0])
+        split = (mid, *_eval_locus(num, den, mid))
+        parts.append(split)
+        left, right = (tuple(map(np.concatenate, zip(left, split))),
+                       tuple(map(np.concatenate, zip(split, right))))
+    theta, values, pole = map(np.concatenate, zip(*parts))
+    order = np.argsort(theta)
+    return theta[order], values[order], pole[order]
 
 
 def _locus(num, den, n: int) -> BoundaryCurve:

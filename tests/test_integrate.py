@@ -24,6 +24,7 @@ from imexssp.integrate import (
 from imexssp.problems import AdvectionDiffusionConfig, GridSpec, advection_diffusion_1d, dahlquist
 from imexssp.schemes import (
     BUILTIN_IDS,
+    CoefficientSet,
     char_polys,
     imex_scheme,
     mcnab,
@@ -450,6 +451,68 @@ class TestStepWeightsGolden:
                         if s.a[i] or s.b[i] or s.c[i]]
             assert list(terms) == expected
             assert all(type(w) is float for term in terms for w in term[1:])
+
+
+def signed_zero_state(dtype, shift):
+    """A 6-point state whose first four entries are +0.0 or -0.0 (in both
+    parts when complex), the pattern rotated by shift, beside two nonzero
+    entries: each zero entry sums only signed zeros across the levels."""
+    zeros = np.roll([0.0, -0.0, -0.0, 0.0], shift)
+    real = np.concatenate([zeros, [1.25, -2.5]])
+    if dtype is float:
+        return real
+    return real + 1j * np.concatenate([-np.roll(zeros, 1), [0.75, -0.5]])
+
+
+def signed_zero_operator(kind, weight):
+    if kind == "scalar":
+        return ScalarOperator(weight)
+    if kind == "circulant":
+        return CirculantOperator((-1, 0, 1), (weight, -2 * weight, weight), 6)
+    return ZeroOperator()
+
+
+class TestStepStartsFromFloatZero:
+    """step() starts rhs from the float 0.0, not from a zero array; every
+    state must keep the bytes the zero array gives, signed zeros included."""
+
+    @staticmethod
+    def history(s, op, dtype):
+        ys = [signed_zero_state(dtype, lvl) for lvl in range(s.k)]
+        # raw signed zeros in f and g too, so a b or c term can be the first
+        fs = [signed_zero_state(dtype, lvl + 1) for lvl in range(s.k)]
+        gs = [-signed_zero_state(dtype, lvl + 2) for lvl in range(s.k)]
+        return History(s.k, ys, fs, gs, t=0.0, dt=0.1)
+
+    @pytest.mark.parametrize("sid", ["ssp3", "ssp4", "imex-biased-k3", "mcnab", "imex-bdf2"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("explicit_kind", ["scalar", "circulant", "zero"])
+    @pytest.mark.parametrize("implicit_kind", ["scalar", "circulant", "zero"])
+    def test_signed_zeros_bit_identical(self, sid, dtype, explicit_kind, implicit_kind):
+        s = scheme_from_id(sid)
+        op = LinearSplitOperator(signed_zero_operator(explicit_kind, -0.5),
+                                 signed_zero_operator(implicit_kind, -1.5))
+        h_new, h_old = self.history(s, op, dtype), self.history(s, op, dtype)
+        for _ in range(s.k + 1):
+            new, old = step(s, h_new, op), indexed_step(s, h_old, op)
+            assert new.dtype == old.dtype
+            assert new.tobytes() == old.tobytes()
+        for x, y in zip((*h_new.y, *h_new.f, *h_new.g), (*h_old.y, *h_old.f, *h_old.g)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_scheme_without_history_weights(self, dtype):
+        # validate() would reject it, but it builds, and its terms are ()
+        s = CoefficientSet(k=1, a=(1, 0), b=(0, 0), c=(0, 0))
+        assert s.step_weights()[2] == ()
+        y0 = signed_zero_state(dtype, 0)
+        for implicit in (ZeroOperator(), ScalarOperator(-2.0)):
+            op = LinearSplitOperator(ZeroOperator(), implicit)
+            new = step(s, History(1, [y0.copy()], [y0 * 0], [y0 * 0], t=0.0, dt=0.1), op)
+            old = indexed_step(s, History(1, [y0.copy()], [y0 * 0], [y0 * 0], t=0.0, dt=0.1), op)
+            assert isinstance(new, np.ndarray)
+            assert new.dtype == old.dtype and new.shape == old.shape == y0.shape
+            assert new.tobytes() == old.tobytes()
 
 
 class TestStart:
