@@ -50,6 +50,7 @@ from .problems import (
     advection_diffusion_1d,
     fourier_symbol_kappa,
     upwind_advection,
+    fourier_modes,
     total_variation,
 )
 

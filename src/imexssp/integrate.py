@@ -3,9 +3,13 @@
 The implicit stage of every step solves the shifted linear system
 (a_0 I - dt c_0 G) y_new = rhs. Implicit operators are restricted to linear
 ones, so the solve is direct: scalar or diagonal division, or an FFT
-diagonalization for periodic stencils (circulant operators). A
-diagonal scalar operator lets empirical_stability advance many scalar test
-problems as one system.
+diagonalization for periodic stencils (circulant operators) stepped on grid
+values. A diagonal scalar operator lets empirical_stability advance many
+scalar test problems as one system, and carries a circulant problem mapped
+onto its DFT coefficients (problems.fourier_modes), where both halves are
+diagonal and a step makes no FFT; `imexssp converge --problem advdiff`
+steps that way. Both kinds of solve call a shifted coefficient singular by
+one rule, one coefficient or eigenvalue at a time.
 
 A circulant operator applies its stencil as one tap-window reduction: it
 extends the state periodically once, views the extension as a (taps x n)
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +64,17 @@ class BlowUpError(RuntimeError):
 # Linear operators
 # ---------------------------------------------------------------------------
 
+def _shifted(alpha, beta, coef):
+    """The shifted coefficients alpha - beta * coef of an implicit solve, and
+    where each is singular: smaller than 1e-14 times the larger of its terms
+    (and of 1). coef is a scalar or an array of eigenvalues; the flag is a
+    NumPy bool or a boolean array to match."""
+    # builtin abs keeps the one-component case as cheap as plain floats
+    shifted = beta * coef
+    den = alpha - shifted
+    return den, abs(den) < 1e-14 * np.maximum(max(1.0, abs(alpha)), abs(shifted))
+
+
 class ZeroOperator:
     """The absent half of a split problem."""
 
@@ -88,21 +104,15 @@ class ScalarOperator:
     def apply(self, v):
         return self.coef * v
 
-    def _shift(self, alpha, beta):
-        # builtin abs keeps the one-component case as cheap as plain floats
-        shifted = beta * self.coef
-        den = alpha - shifted
-        return den, abs(den) < 1e-14 * np.maximum(max(1.0, abs(alpha)), abs(shifted))
-
     def singular(self, alpha, beta):
         """Where the shifted coefficient alpha - beta * coef vanishes relative
         to its terms: a NumPy bool, or a boolean array for an array coefficient."""
-        return self._shift(alpha, beta)[1]
+        return _shifted(alpha, beta, self.coef)[1]
 
     def solve_shifted(self, alpha, beta, rhs):
         key = (alpha, beta)
         if self._den[0] != key:
-            den, singular = self._shift(alpha, beta)
+            den, singular = _shifted(alpha, beta, self.coef)
             if singular.any():
                 raise StepFailureError("singular implicit system: a_0 - dt c_0 mu ~ 0")
             self._den = (key, den)
@@ -131,8 +141,10 @@ class CirculantOperator:
     unless v is infinite or nan there.
 
     Shifted solves diagonalize the operator by FFT: its eigenvalues are the
-    symbol on the grid 2 pi m / n, computed once. The shifted denominators
-    alpha - beta * symbol are kept for the most recent (alpha, beta) only.
+    symbol on the grid 2 pi m / n, computed once (eigenvalues). The shifted
+    denominators alpha - beta * eigenvalues are kept for the most recent
+    (alpha, beta) only; a pair is singular where one of them is, by the
+    rule ScalarOperator applies to its coefficients.
     """
 
     def __init__(self, offsets, weights, n):
@@ -143,8 +155,7 @@ class CirculantOperator:
             raise ValueError("a stencil needs one weight per offset")
         if self.n < 1:
             raise ValueError(f"a circulant operator needs at least 1 point, got {self.n}")
-        self._grid_symbol = None
-        self._shift = (None, None)  # ((alpha, beta), alpha - beta * grid symbol)
+        self._den = (None, None)  # ((alpha, beta), alpha - beta * eigenvalues)
         first, last, taps = _tap_window(self.offsets, self.weights)
         lo, hi = min(first, last), max(first, last)
         self._stride = 1 if last >= first else -1
@@ -176,16 +187,20 @@ class CirculantOperator:
             acc = acc + w * np.exp(1j * phi * o)
         return acc if acc.shape else complex(acc)
 
+    @cached_property
+    def eigenvalues(self):
+        """The symbol on the DFT grid, symbol(2 pi m / n) for m = 0, ..., n-1:
+        the eigenvalue of the m-th DFT coefficient. Built on first use."""
+        return self.symbol(2 * np.pi * np.arange(self.n) / self.n)
+
     def solve_shifted(self, alpha, beta, rhs):
         key = (alpha, beta)
-        if self._shift[0] != key:
-            if self._grid_symbol is None:
-                self._grid_symbol = self.symbol(2 * np.pi * np.arange(self.n) / self.n)
-            eig = alpha - beta * self._grid_symbol
-            if np.abs(eig).min() < 1e-14 * max(1.0, np.abs(eig).max()):
+        if self._den[0] != key:
+            den, singular = _shifted(alpha, beta, self.eigenvalues)
+            if singular.any():
                 raise StepFailureError("singular implicit system: circulant eigenvalue ~ 0")
-            self._shift = (key, eig)
-        x = np.fft.ifft(np.fft.fft(rhs) / self._shift[1])
+            self._den = (key, den)
+        x = np.fft.ifft(np.fft.fft(rhs) / self._den[1])
         if not np.iscomplexobj(rhs):
             x = x.real
         return x

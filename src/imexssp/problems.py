@@ -23,6 +23,7 @@ __all__ = [
     "advection_diffusion_1d",
     "fourier_symbol_kappa",
     "upwind_advection",
+    "fourier_modes",
     "total_variation",
     "step_data",
     "monotone_staircase",
@@ -126,8 +127,7 @@ def fourier_symbol_kappa(cfg: AdvectionDiffusionConfig, phi):
 
 def _circulant_semigroup_exact(operator: CirculantOperator, y0: np.ndarray):
     """Exact semi-discrete solution t -> exp(t F) y0 via Fourier diagonalization."""
-    n = len(y0)
-    sym = operator.symbol(2 * np.pi * np.arange(n) / n)
+    sym = operator.eigenvalues
     y0_hat = np.fft.fft(y0)
     real_data = not np.iscomplexobj(y0)
 
@@ -153,6 +153,34 @@ def upwind_advection(grid: GridSpec, initial=None) -> SplitProblem:
         raise ValueError("initial data length must match the grid")
     return SplitProblem(LinearSplitOperator(explicit, ZeroOperator()),
                         _circulant_semigroup_exact(explicit, u0))
+
+
+def fourier_modes(problem: SplitProblem) -> SplitProblem:
+    """The problem on the DFT coefficients y_hat = fft(y, norm="forward") of
+    its state, where a circulant operator is diagonal.
+
+    Each half must be a CirculantOperator, all on one grid, or a
+    ZeroOperator. A circulant half becomes the ScalarOperator of its
+    eigenvalues, a zero half stays as it is, and the exact solution becomes
+    the DFT of the physical one. np.fft.ifft(y_hat, norm="forward") maps a
+    state back. The forward normalisation keeps max|y_hat| <= max|y|, with
+    equality for a single Fourier mode, so the blow-up guard of levels()
+    reads the same scale as on grid values.
+    """
+    halves = (problem.operator.explicit, problem.operator.implicit)
+    grids = {h.n for h in halves if isinstance(h, CirculantOperator)}
+    if len(grids) != 1 or not all(isinstance(h, (CirculantOperator, ZeroOperator))
+                                  for h in halves):
+        raise ValueError("fourier_modes needs circulant halves on one grid, "
+                         "or a zero half beside a circulant one")
+    explicit, implicit = (ScalarOperator(h.eigenvalues) if isinstance(h, CirculantOperator)
+                          else h for h in halves)
+
+    def exact(t, physical=problem.exact):
+        return np.fft.fft(physical(t), norm="forward")
+
+    return SplitProblem(LinearSplitOperator(explicit, implicit),
+                        None if problem.exact is None else exact, problem.t0)
 
 
 def total_variation(u) -> float:

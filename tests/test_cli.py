@@ -6,7 +6,7 @@ import pytest
 
 from imexssp import problems
 from imexssp.cli import main
-from imexssp.integrate import integrate
+from imexssp.integrate import CirculantOperator, integrate
 from imexssp.schemes import scheme_from_id
 
 
@@ -381,6 +381,58 @@ class TestConverge:
         assert code == 2
         captured = capsys.readouterr()
         assert "error: interval too short" in captured.err and "k=3" in captured.err
+        assert captured.out == ""
+
+
+    # 50-digit values of the same recurrence on the exact eigenvalues of
+    # mode 1 (mpmath; the script is quoted in CHANGES.md), and how far the
+    # errors of grid-value stepping sit from them, relative
+    ADVDIFF_EXACT = [
+        (2.6529934990731640169647489491175686209357706095179e-05, 1.8e-11),
+        (6.671482851073757521670092231831835760391372472571e-06, 1.0e-10),
+        (1.6727655000678962332251803601937902663018576435432e-06, 8.8e-10),
+        (4.1880448450536357479848481999945021645484687434091e-07, 1.1e-08),
+    ]
+
+    def test_advdiff_errors_no_farther_from_exact_recurrence(self, tmp_path):
+        rows, _ = run_csv(tmp_path, ["converge", "--problem", "advdiff",
+                                     "--scheme", "imex-biased-k3", "--cells", "256"])
+        assert len(rows) == len(self.ADVDIFF_EXACT)
+        for row, (exact, grid_distance) in zip(rows, self.ADVDIFF_EXACT):
+            assert abs(float(row["error"]) - exact) <= grid_distance * exact
+
+    def test_stiff_advdiff_error_at_rounding_level(self, tmp_path):
+        # applying G = D * (second difference) on grid values left errors of
+        # 8.9e-9 and 1.7e-9 here; the exact solution has decayed to ~0
+        rows, _ = run_csv(tmp_path, ["converge", "--problem", "advdiff",
+                                     "--scheme", "imex-biased-k3", "--dnum", "1e10",
+                                     "--levels", "2"])
+        assert [float(r["error"]) < 1e-15 for r in rows] == [True, True]
+
+    def test_huge_diffusion_number_is_no_singular_solve(self, tmp_path):
+        # every shifted eigenvalue a_0 - dt c_0 mu has modulus >= a_0
+        rows, _ = run_csv(tmp_path, ["converge", "--problem", "advdiff",
+                                     "--scheme", "imex-biased-k3", "--dnum", "1e300"])
+        assert len(rows) == 4
+        assert all(float(r["error"]) < 1e-15 for r in rows)
+
+    @pytest.mark.parametrize("scheme", ["imex-biased-k3", "ssp3"])
+    def test_advdiff_steps_no_circulant_operator(self, tmp_path, monkeypatch, scheme):
+        calls = []
+        for name in ("apply", "solve_shifted"):
+            monkeypatch.setattr(CirculantOperator, name,
+                                lambda self, *args, name=name: calls.append(name))
+        run_csv(tmp_path, ["converge", "--problem", "advdiff", "--scheme", scheme,
+                           "--cells", "32", "--levels", "2"])
+        assert calls == []
+
+    def test_impossible_size_reported_cleanly(self, capsys):
+        # 8e15 bytes of stencil index: more than any address space, so NumPy
+        # refuses it at once
+        code = main(["converge", "--problem", "advdiff", "--cells", str(10**15)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "allocate" in captured.err
         assert captured.out == ""
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -174,6 +175,25 @@ def dense_circulant(op):
     return m
 
 
+def exact_shifted_solve(op, alpha, beta, rhs):
+    """(alpha I - beta T) x = rhs for a circulant T, by Gauss-Jordan
+    elimination in rational arithmetic on the exact float entries; x is
+    rounded to floats at the end."""
+    n = op.n
+    m = [[Fraction(alpha) * (i == j) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
+    for i in range(n):
+        for o, w in zip(op.offsets, op.weights):
+            m[i][(i + o) % n] -= Fraction(beta) * Fraction(w)
+    for i in range(n):
+        p = next(r for r in range(i, n) if m[r][i])
+        m[i], m[p] = m[p], m[i]
+        for r in range(n):
+            if r != i and m[r][i]:
+                f = m[r][i] / m[i][i]
+                m[r] = [a - f * b for a, b in zip(m[r], m[i])]
+    return np.array([float(m[i][n] / m[i][i]) for i in range(n)])
+
+
 class TestCirculantFFTSolve:
     @pytest.mark.parametrize("stencil", sorted(STENCILS))
     @pytest.mark.parametrize("n", [3, 5, 12, 64])
@@ -214,6 +234,17 @@ class TestCirculantFFTSolve:
         np.testing.assert_allclose(x, np.full(12, 0.5), atol=1e-14)
         with pytest.raises(StepFailureError):
             op.solve_shifted(1.0, -0.25, rhs)
+
+    @pytest.mark.parametrize("beta", [0.5, -0.5])
+    def test_large_weights_solve_matches_exact_dense_solve(self, beta):
+        # the shifted eigenvalues 1 - beta * symbol reach 2e16 in modulus and
+        # 1 at the constant mode: a condition number near 1e16, but no mode
+        # is singular
+        op = CirculantOperator((-1, 0, 1), (1e16, -2e16, 1e16), 8)
+        rhs = np.random.default_rng(8).uniform(-1, 1, 8)
+        x = op.solve_shifted(1.0, beta, rhs)
+        expected = exact_shifted_solve(op, 1.0, beta, rhs)
+        np.testing.assert_allclose(x, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
 
     @pytest.mark.parametrize("stencil", sorted(STENCILS))
     @pytest.mark.parametrize("n", [3, 5, 64])

@@ -1,12 +1,22 @@
 import numpy as np
 import pytest
 
-from imexssp.integrate import integrate, start, step
+from imexssp.integrate import (
+    CirculantOperator,
+    LinearSplitOperator,
+    ScalarOperator,
+    SplitProblem,
+    ZeroOperator,
+    integrate,
+    start,
+    step,
+)
 from imexssp.problems import (
     AdvectionDiffusionConfig,
     GridSpec,
     advection_diffusion_1d,
     dahlquist,
+    fourier_modes,
     fourier_symbol_kappa,
     monotone_staircase,
     step_data,
@@ -95,6 +105,59 @@ class TestAdvectionDiffusion:
         assert err(1 / 512) / err(1 / 1024) == pytest.approx(4.0, abs=0.7)
 
 
+class TestFourierModes:
+    def advdiff(self, dnum=0.1, n=32):
+        return advection_diffusion_1d(GridSpec(n), AdvectionDiffusionConfig(0.35, dnum), mode=1)
+
+    def test_halves_are_the_grid_eigenvalues(self):
+        prob = self.advdiff()
+        modal = fourier_modes(prob)
+        v = np.random.default_rng(5).uniform(-1, 1, 32)
+        for half, diagonal in zip((prob.operator.explicit, prob.operator.implicit),
+                                  (modal.operator.explicit, modal.operator.implicit)):
+            assert isinstance(diagonal, ScalarOperator)
+            assert diagonal.coef is half.eigenvalues
+            np.testing.assert_allclose(diagonal.apply(np.fft.fft(v, norm="forward")),
+                                       np.fft.fft(half.apply(v), norm="forward"), atol=1e-12)
+
+    def test_zero_half_stays_zero(self):
+        modal = fourier_modes(self.advdiff(dnum=0.0))
+        assert isinstance(modal.operator.explicit, ScalarOperator)
+        assert isinstance(modal.operator.implicit, ZeroOperator)
+
+    def test_no_exact_stays_none(self):
+        prob = self.advdiff()
+        assert fourier_modes(SplitProblem(prob.operator, None)).exact is None
+
+    def test_exact_is_the_dft_of_the_physical_one(self):
+        prob = self.advdiff()
+        modal = fourier_modes(prob)
+        for t in (0.0, 0.3):
+            np.testing.assert_array_equal(modal.exact(t),
+                                          np.fft.fft(prob.exact(t), norm="forward"))
+        # a single Fourier mode: the blow-up guard reads the same max norm
+        assert np.abs(modal.exact(0.3)).max() == pytest.approx(np.abs(prob.exact(0.3)).max(),
+                                                               rel=1e-14)
+
+    @pytest.mark.parametrize("sid", ["imex-biased-k3", "ssp3"])
+    def test_stepping_matches_grid_values(self, sid):
+        s = scheme_from_id(sid)
+        prob = self.advdiff(dnum=0.1 if s.is_implicit else 0.0)
+        dt = 0.35 / 32
+        physical = integrate(prob, s, 40 * dt, dt)
+        modal = integrate(fourier_modes(prob), s, 40 * dt, dt)
+        np.testing.assert_allclose(np.fft.ifft(modal, norm="forward"), physical, atol=1e-13)
+
+    @pytest.mark.parametrize("halves", [
+        (ScalarOperator(1.0), ZeroOperator()),
+        (ZeroOperator(), ZeroOperator()),
+        (CirculantOperator((0, -1), (-1.0, 1.0), 8), CirculantOperator((0,), (1.0,), 9)),
+    ])
+    def test_rejects_what_the_dft_does_not_diagonalize(self, halves):
+        with pytest.raises(ValueError, match="circulant"):
+            fourier_modes(SplitProblem(LinearSplitOperator(*halves), None))
+
+
 class TestFourierSymbol:
     def test_zero_at_constant_mode(self):
         cfg = AdvectionDiffusionConfig(0.35)
@@ -130,6 +193,15 @@ class TestUpwind:
         integrate(prob, forward_euler(), 50 * dt, dt, observe=rec)
         growth = np.diff(rec.tv)
         assert growth.max() <= 1e-13
+
+    def test_exact_reads_the_operators_eigenvalues(self):
+        grid = GridSpec(64)
+        prob = upwind_advection(grid, monotone_staircase(64, seed=3))
+        op = prob.operator.explicit
+        sym = op.symbol(2 * np.pi * np.arange(64) / 64)
+        np.testing.assert_array_equal(op.eigenvalues, sym)
+        expected = np.fft.ifft(np.fft.fft(monotone_staircase(64, seed=3)) * np.exp(sym * 0.7))
+        np.testing.assert_array_equal(prob.exact(0.7), expected.real)
 
     def test_tv_grows_beyond_cfl(self, level_record):
         grid = GridSpec(64)

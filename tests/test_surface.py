@@ -45,6 +45,7 @@ SIGNATURES = {
     ("problems", "advection_diffusion_1d"): [("grid", REQUIRED), ("cfg", REQUIRED),
                                              ("mode", REQUIRED)],
     ("problems", "dahlquist"): [("lam", REQUIRED), ("mu", REQUIRED)],
+    ("problems", "fourier_modes"): [("problem", REQUIRED)],
     ("problems", "step_data"): [("n", REQUIRED)],
     ("problems", "monotone_staircase"): [("n", REQUIRED), ("seed", 1234)],
     ("problems", "upwind_advection"): [("grid", REQUIRED), ("initial", None)],
