@@ -21,13 +21,7 @@ from . import problems
 from .csvfmt import FLOAT, fill, fmt, format_rows
 from .integrate import BlowUpError, StepFailureError, integrate
 from .schemes import BUILTIN_IDS, REGISTRY_IDS, scheme_from_id, scheme_parameters
-from .stability import (
-    curve_to_csv,
-    explicit_boundary,
-    implicit_boundary,
-    mu_image,
-    restrict_curve,
-)
+from .stability import explicit_boundary, implicit_boundary, mu_image, restrict_curve
 from .verify import CRITERIA, angle_table, run_criteria
 from . import __version__
 
@@ -116,28 +110,25 @@ def _svg_render(curves) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _phi_family_csv(family, fh) -> None:
-    """Write (lambda, image) pairs as rows lambda_re,lambda_im,theta,re,im,is_pole,
-    one chunk per lambda.
-
-    An image's theta grid and pole pattern depend on C and n_theta only, not
-    on lambda, so the theta cells and pole rows are formatted once into a
-    template whose re/im cells stay %-slots; an image on another grid gets a
-    template of its own.
-    """
-    fh.write("lambda_re,lambda_im,theta,re,im,is_pole\n")
+def _curves_csv(columns: str, curves, fh) -> None:
+    """Write (prefix, curve) pairs as CSV: the header is columns and then
+    theta,re,im,is_pole, each row the curve's prefix cells (comma-ended, or
+    "") and then its theta,re,im,is_pole; pole rows read nan,nan,1. A locus
+    has no prefix, an image of the family its lambda. Curves with one theta
+    grid and pole pattern (a family's images) share one template: the theta
+    cells and pole rows formatted once, the re/im cells left as %-slots."""
+    fh.write(f"{columns}theta,re,im,is_pole\n")
     grid = None
-    for lam, img in family:
-        if grid is None or not (np.array_equal(img.theta, grid.theta)
-                                and np.array_equal(img.is_pole, grid.is_pole)):
-            grid = img
-            thetas = format_rows(f"{FLOAT}\n", img.theta).splitlines()
+    for prefix, curve in curves:
+        if grid is None or not (np.array_equal(curve.theta, grid.theta)
+                                and np.array_equal(curve.is_pole, grid.is_pole)):
+            grid = curve
+            thetas = format_rows(f"{FLOAT}\n", curve.theta).splitlines()
             rows = ["", *(f"{th},nan,nan,1\n" if p else f"{th},{FLOAT},{FLOAT},0\n"
-                          for th, p in zip(thetas, img.is_pole))]
-        finite = img.values[~img.is_pole]
+                          for th, p in zip(thetas, curve.is_pole))]
+        finite = curve.finite_values()
         # joining on the prefix puts it in front of every row
-        template = f"{fmt(lam.real)},{fmt(lam.imag)},".join(rows)
-        fh.write(fill(template, finite.real, finite.imag))
+        fh.write(fill(prefix.join(rows), finite.real, finite.imag))
 
 
 def _check_format(args, command: str, *accepted: str) -> None:
@@ -213,7 +204,9 @@ def cmd_regions(args) -> int:
                           args.out)
         else:
             with _output(args.out) as fh:
-                _phi_family_csv(family, fh)
+                _curves_csv("lambda_re,lambda_im,",
+                            ((f"{fmt(lam.real)},{fmt(lam.imag)},", img) for lam, img in family),
+                            fh)
         return 0
 
     _reject_unused(args, "to --phi-family", "--n-lambda", "--family-size")
@@ -232,9 +225,8 @@ def cmd_regions(args) -> int:
     if args.format == "svg":
         _write_output(_svg_render([(f"{args.scheme} {kind}", curve)]), args.out)
     else:
-        buf = io.StringIO()
-        curve_to_csv(curve, buf)
-        _write_output(buf.getvalue(), args.out)
+        with _output(args.out) as fh:
+            _curves_csv("", [("", curve)], fh)
     return 0
 
 
@@ -314,6 +306,12 @@ def cmd_converge(args) -> int:
         order = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
         buf.write(format_rows(f"{sid},{args.problem},{FLOAT},{FLOAT},{FLOAT}\n",
                               dts, errs, [order] * len(dts)))
+        # errors this small are rounding noise, and so is an order fitted to them
+        floor = 64 * np.finfo(float).eps * np.max(np.abs(prob.exact(prob.t0)))
+        if max(errs) <= floor:
+            print(f"note: every error of {sid} is at the rounding level of its initial state "
+                  f"(at most {max(errs):.3g} <= 64 eps max|u(t0)| = {floor:.3g}), so its "
+                  "fitted_order is no order of convergence", file=sys.stderr)
     _write_output(buf.getvalue(), args.out)
     return 0
 

@@ -8,8 +8,9 @@ values. A diagonal scalar operator lets empirical_stability advance many
 scalar test problems as one system, and carries a circulant problem mapped
 onto its DFT coefficients (problems.fourier_modes), where both halves are
 diagonal and a step makes no FFT; `imexssp converge --problem advdiff`
-steps that way. Both kinds of solve call a shifted coefficient singular by
-one rule, one coefficient or eigenvalue at a time.
+steps that way. A circulant solve on grid values is an FFT around that same
+diagonal solve (CirculantOperator.modes), so one rule calls a shifted
+coefficient singular, one coefficient or eigenvalue at a time.
 
 A circulant operator applies its stencil as one tap-window reduction: it
 extends the state periodically once, views the extension as a (taps x n)
@@ -141,10 +142,10 @@ class CirculantOperator:
     unless v is infinite or nan there.
 
     Shifted solves diagonalize the operator by FFT: its eigenvalues are the
-    symbol on the grid 2 pi m / n, computed once (eigenvalues). The shifted
-    denominators alpha - beta * eigenvalues are kept for the most recent
-    (alpha, beta) only; a pair is singular where one of them is, by the
-    rule ScalarOperator applies to its coefficients.
+    symbol on the grid 2 pi m / n, computed once (eigenvalues), and modes is
+    the diagonal ScalarOperator of them, which acts on DFT coefficients. A
+    solve is fft, modes.solve_shifted, ifft, so the denominators and the
+    singular rule are ScalarOperator's.
     """
 
     def __init__(self, offsets, weights, n):
@@ -155,7 +156,6 @@ class CirculantOperator:
             raise ValueError("a stencil needs one weight per offset")
         if self.n < 1:
             raise ValueError(f"a circulant operator needs at least 1 point, got {self.n}")
-        self._den = (None, None)  # ((alpha, beta), alpha - beta * eigenvalues)
         first, last, taps = _tap_window(self.offsets, self.weights)
         lo, hi = min(first, last), max(first, last)
         self._stride = 1 if last >= first else -1
@@ -193,17 +193,15 @@ class CirculantOperator:
         the eigenvalue of the m-th DFT coefficient. Built on first use."""
         return self.symbol(2 * np.pi * np.arange(self.n) / self.n)
 
+    @cached_property
+    def modes(self) -> ScalarOperator:
+        """The operator on the DFT coefficients of the state: the diagonal
+        ScalarOperator of its eigenvalues. Built on first use."""
+        return ScalarOperator(self.eigenvalues)
+
     def solve_shifted(self, alpha, beta, rhs):
-        key = (alpha, beta)
-        if self._den[0] != key:
-            den, singular = _shifted(alpha, beta, self.eigenvalues)
-            if singular.any():
-                raise StepFailureError("singular implicit system: circulant eigenvalue ~ 0")
-            self._den = (key, den)
-        x = np.fft.ifft(np.fft.fft(rhs) / self._den[1])
-        if not np.iscomplexobj(rhs):
-            x = x.real
-        return x
+        x = np.fft.ifft(self.modes.solve_shifted(alpha, beta, np.fft.fft(rhs)))
+        return x if np.iscomplexobj(rhs) else x.real
 
     def __bool__(self):
         return any(w != 0.0 for w in self.weights)
@@ -465,19 +463,13 @@ def empirical_stability(s: CoefficientSet, lam, mu, n_steps: int = 800):
     singular = ScalarOperator(mu).singular(a0, c0)  # dt = 1
     op = LinearSplitOperator(ScalarOperator(lam), ScalarOperator(np.where(singular, 0.0, mu)))
     rate = lam + mu
-    ys = [np.exp(rate * j) + 1e-6 * (-1) ** j for j in range(s.k)][::-1]
-    threshold = 1e3 * np.maximum(1.0, np.abs(ys).max(axis=0))
+
+    def perturbed(t):  # a singular pair's levels stay 0, so its threshold is never read
+        return np.where(singular, 0.0, np.exp(rate * t) + 1e-6 * (-1) ** t)
+
+    h = start(SplitProblem(op, perturbed), s, 1.0)
+    threshold = 1e3 * np.maximum(1.0, np.abs(h.y).max(axis=0))
     live = ~singular
-    for y in ys:
-        y[singular] = 0.0
-    h = History(
-        k=s.k,
-        y=ys,
-        f=[op.explicit.apply(y) for y in ys],
-        g=[op.implicit.apply(y) for y in ys],
-        t=float(s.k - 1),
-        dt=1.0,
-    )
     for _ in range(n_steps):
         if not live.any():
             break

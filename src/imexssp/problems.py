@@ -160,8 +160,8 @@ def fourier_modes(problem: SplitProblem) -> SplitProblem:
     its state, where a circulant operator is diagonal.
 
     Each half must be a CirculantOperator, all on one grid, or a
-    ZeroOperator. A circulant half becomes the ScalarOperator of its
-    eigenvalues, a zero half stays as it is, and the exact solution becomes
+    ZeroOperator. A circulant half becomes its modes, the ScalarOperator of
+    its eigenvalues, a zero half stays as it is, and the exact solution becomes
     the DFT of the physical one. np.fft.ifft(y_hat, norm="forward") maps a
     state back. The forward normalisation keeps max|y_hat| <= max|y|, with
     equality for a single Fourier mode, so the blow-up guard of levels()
@@ -173,8 +173,7 @@ def fourier_modes(problem: SplitProblem) -> SplitProblem:
                                   for h in halves):
         raise ValueError("fourier_modes needs circulant halves on one grid, "
                          "or a zero half beside a circulant one")
-    explicit, implicit = (ScalarOperator(h.eigenvalues) if isinstance(h, CirculantOperator)
-                          else h for h in halves)
+    explicit, implicit = (h.modes if isinstance(h, CirculantOperator) else h for h in halves)
 
     def exact(t, physical=problem.exact):
         return np.fft.fft(physical(t), norm="forward")

@@ -2,7 +2,8 @@
 
 Provides the explicit/implicit boundary loci, the map from unit-circle points
 to implicit eigenvalues for a fixed explicit eigenvalue (one kernel serves
-every image evaluation), a batched characteristic-root stability oracle
+every quotient on the circle, the loci included), a batched
+characteristic-root stability oracle
 (root_verdicts, with root_condition as its one-pair form), an array
 winding-number count, wedge-angle measurement with closed-form counterparts,
 and the sweep that finds the worst-case implicit wedge over a family of
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvfmt import FLOAT, format_rows
 from .schemes import CoefficientSet, char_polys, finite_array, polyval
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "min_image_real_part",
     "image_winding_number",
     "interval_pairs",
-    "curve_to_csv",
 ]
 
 # Numeric policy. The root condition allows |zeta| up to 1 + ROOT_TOLERANCE;
@@ -143,7 +142,7 @@ class StabilityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Boundary loci
+# Quotient maps on the unit circle: the one kernel
 # ---------------------------------------------------------------------------
 
 def _unit_circle_poles(den_coeffs: np.ndarray):
@@ -169,11 +168,6 @@ def _unit_circle_poles(den_coeffs: np.ndarray):
             clusters.append([r])
     return (np.array([np.angle(np.mean(cl)) for cl in clusters]),
             np.array([len(cl) for cl in clusters], dtype=int))
-
-
-def _unit_circle_pole_angles(den_coeffs: np.ndarray) -> np.ndarray:
-    """The angles of _unit_circle_poles."""
-    return _unit_circle_poles(den_coeffs)[0]
 
 
 def _wrap_angle(theta: np.ndarray) -> np.ndarray:
@@ -279,147 +273,74 @@ class _CircleGrid:
         return values
 
 
-def _eval_locus(num, den: _Denominator, theta):
-    grid = _CircleGrid(den, theta)
-    return grid.quotient(polyval(num, grid.z)), grid.pole
-
-
-def _too_coarse(v0, pole0, v1, pole1):
-    """Which intervals to split: both ends finite, and the values differ by
-    more than 1e-6 and by 0.02 of the local scale or 0.05 in argument."""
-    both = ~(pole0 | pole1)
-    dv = np.abs(v1 - v0)
-    scale = np.maximum(1.0, np.minimum(np.abs(v0), np.abs(v1)))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        darg = np.abs(np.angle(np.where(both, v1, 1.0) / np.where(both, v0, 1.0)))
-    return both & (dv > 1e-6) & ((dv > 0.02 * scale) | (darg > 0.05))
-
-
-def _refine_locus(num, den: _Denominator, theta, values, pole):
-    """Insert midpoints where adjacent finite samples differ too much.
-
-    The thresholds (_too_coarse) keep the sampled polyline faithful near
-    sharp features; passes are capped at 8 so poles cannot trigger unbounded
-    refinement.
-
-    An interval that a pass leaves whole keeps both endpoints, so its verdict
-    cannot change: the first pass tests every interval, each later pass only
-    the two halves of every interval the pass before split. Midpoints are
-    sorted in once, at the end; none ties with a sample, since 8 halvings of
-    the closest samples (the 1e-6 pole zoom) still leave about 4e-9.
-    """
-    parts = [(theta, values, pole)]
-    # each interval as its (theta, value, pole) at the left and right end
-    left, right = (theta[:-1], values[:-1], pole[:-1]), (theta[1:], values[1:], pole[1:])
-    for _ in range(8):
-        bad = _too_coarse(left[1], left[2], right[1], right[2])
-        if not bad.any():
-            break
-        left = tuple(x[bad] for x in left)
-        right = tuple(x[bad] for x in right)
-        mid = 0.5 * (left[0] + right[0])
-        split = (mid, *_eval_locus(num, den, mid))
-        parts.append(split)
-        left, right = (tuple(map(np.concatenate, zip(left, split))),
-                       tuple(map(np.concatenate, zip(split, right))))
-    theta, values, pole = map(np.concatenate, zip(*parts))
-    order = np.argsort(theta)
-    return theta[order], values[order], pole[order]
-
-
-def _locus(num, den, n: int) -> BoundaryCurve:
-    den = _Denominator(den)
-    theta = _theta_grid(n, den.pole_angles)
-    values, pole = _eval_locus(num, den, theta)
-    theta, values, pole = _refine_locus(num, den, theta, values, pole)
-    return BoundaryCurve(theta, values, pole, den.asymptotes(polyval(num, den.pole_z)))
-
-
-def explicit_boundary(s: CoefficientSet, n: int = DEFAULT_N_THETA) -> BoundaryCurve:
-    """Boundary locus of the explicit stability region: A(e^(i theta)) / B(e^(i theta))."""
-    if n < 16:
-        raise ValueError("need at least 16 samples")
-    polys = char_polys(s)
-    if not polys.B.any():
-        raise ValueError("scheme has no explicit part")
-    return _locus(polys.A, polys.B, n)
-
-
-def implicit_boundary(s: CoefficientSet, n: int = DEFAULT_N_THETA) -> BoundaryCurve:
-    """Boundary locus of the implicit stability region: A(e^(i theta)) / C(e^(i theta))."""
-    if n < 16:
-        raise ValueError("need at least 16 samples")
-    polys = char_polys(s)
-    if not polys.C.any():
-        raise ValueError("scheme has no implicit part")
-    return _locus(polys.A, polys.C, n)
-
-
-def lambda_at(s: CoefficientSet, theta) -> complex:
-    """Explicit boundary point at a single angle (or an array of them)."""
-    theta = finite_array(theta, "theta")
-    polys = char_polys(s)
-    z = np.exp(1j * theta)
-    return polyval(polys.A, z) / polyval(polys.B, z)
-
-
-# ---------------------------------------------------------------------------
-# Implicit-eigenvalue map for fixed lambda: the one image-map kernel
-# ---------------------------------------------------------------------------
-
 # image samples per block when many lambdas are mapped (128 kB of complex)
 _BLOCK_SAMPLES = 8192
 
 
 class _ImageMap:
-    """The implicit-eigenvalue map mu = (A - lam B)/C of one scheme.
+    """A quotient map mu = (A - lam P)/Q of one scheme on the unit circle.
 
-    Built once per scheme: the polynomials, and C as a _Denominator with its
-    circle poles and their Taylor coefficients. Every image evaluation in
-    this module goes through __call__ (mu_map, mu_image, min_image_real_part,
+    With Q = C and P = B it is the implicit-eigenvalue map for a fixed
+    explicit eigenvalue lam (the C-map), whose lam = 0 curve is the implicit
+    locus A/C; with Q = B and P = C (the B-map) its lam = 0 curve is the
+    explicit locus A/B. Built once per scheme and denominator (_image_map):
+    the polynomials, and Q as a _Denominator with its circle poles and their
+    Taylor coefficients. Every quotient on the circle in this module goes
+    through __call__ (the loci, mu_map, mu_image, min_image_real_part,
     imex_alpha_sweep), so the numerator is always evaluated the same way: by
-    Horner's rule on the coefficients of A - lam B, exactly as
+    Horner's rule on the coefficients of A - lam P, exactly as
     numpy.polynomial.polynomial.polyval does.
     """
 
-    def __init__(self, s: CoefficientSet):
-        polys = char_polys(s)
-        if not polys.C.any():
-            raise ValueError("scheme has no implicit part")
-        self.A = polys.A.astype(complex)
-        self.B = polys.B
-        self.C = _Denominator(polys.C)
+    def __init__(self, A, P, Q):
+        self.A = A.astype(complex)
+        self.P = P
+        self.den = _Denominator(Q)
         der = np.polynomial.polynomial.polyder
-        self.dA, self.dB, self.dC = der(self.A), der(self.B), der(polys.C)
-        self.d2A, self.d2B = der(self.dA), der(self.dB)
+        self.dA, self.dP, self.dQ = der(self.A), der(P), der(Q)
+        self.d2A, self.d2P = der(self.dA), der(self.dP)
 
     def numerator(self, lams, z) -> np.ndarray:
-        """A(z) - lam B(z) for lams and z broadcast against each other."""
-        return polyval(self.A, z) - np.asarray(lams) * polyval(self.B, z)
+        """A(z) - lam P(z) for lams and z broadcast against each other."""
+        return polyval(self.A, z) - np.asarray(lams) * polyval(self.P, z)
 
     def on(self, theta) -> _CircleGrid:
-        """A theta set with C evaluated on it, reusable for many lambdas."""
-        return _CircleGrid(self.C, theta)
+        """A theta set with Q evaluated on it, reusable for many lambdas."""
+        return _CircleGrid(self.den, theta)
 
     def __call__(self, lams, grid: _CircleGrid) -> np.ndarray:
         """mu for lams and grid.theta broadcast against each other; nan at poles."""
-        num = self.A - np.asarray(lams)[..., None] * self.B
+        num = self.A - np.asarray(lams)[..., None] * self.P
         z = grid.z
         acc = num[..., -1] + z * 0
         for i in range(2, num.shape[-1] + 1):
             acc = num[..., -i] + acc * z
         return grid.quotient(acc)
 
+    def sample(self, lam, theta):
+        """mu and the pole flags at the angles theta, for one lam."""
+        grid = self.on(theta)
+        return self(lam, grid), grid.pole
+
+    def curve(self, lam, n: int) -> BoundaryCurve:
+        """The image of the circle for one lam, unrefined: n >= 16 uniform
+        angles plus the zoom samples around the poles, and the asymptotes."""
+        if n < 16:
+            raise ValueError("need at least 16 samples")
+        theta = _theta_grid(n, self.den.pole_angles)
+        return BoundaryCurve(theta, *self.sample(lam, theta),
+                             self.den.asymptotes(self.numerator(lam, self.den.pole_z)))
+
     def crossing_terms(self, lams, grid: _CircleGrid):
         """dmu/dtheta and d2mu/dtheta2 (lams and grid.theta broadcast) where
-        N = A - lam B vanishes: mu' = N' z'/C, the leading Taylor term, and
-        mu'' = (N'' z'^2 + N' z'' - 2 mu' C' z')/C, with z' = iz, z'' = -z."""
+        N = A - lam P vanishes: mu' = N' z'/Q, the leading Taylor term, and
+        mu'' = (N'' z'^2 + N' z'' - 2 mu' Q' z')/Q, with z' = iz, z'' = -z."""
         z = grid.z
-        n1 = polyval(self.dA, z) - lams * polyval(self.dB, z)
-        n2 = polyval(self.d2A, z) - lams * polyval(self.d2B, z)
+        n1 = polyval(self.dA, z) - lams * polyval(self.dP, z)
+        n2 = polyval(self.d2A, z) - lams * polyval(self.d2P, z)
         z1, z2 = 1j * z, -z
         mu1 = grid.quotient(n1 * z1)
-        mu2 = grid.quotient(n2 * z1 * z1 + n1 * z2 - 2 * mu1 * polyval(self.dC, z) * z1)
+        mu2 = grid.quotient(n2 * z1 * z1 + n1 * z2 - 2 * mu1 * polyval(self.dQ, z) * z1)
         return mu1, mu2
 
     def blocks(self, lams: np.ndarray, theta: np.ndarray):
@@ -433,12 +354,18 @@ class _ImageMap:
             yield rows, grid.theta, self(lams[rows, None], grid)
 
 
-@functools.lru_cache(maxsize=16)
-def _image_map(s: CoefficientSet) -> _ImageMap:
-    """The scheme's _ImageMap, built once: a build costs a root finding for
-    C's poles, hashing the frozen scheme about a tenth of that. Nothing
-    changes an _ImageMap after construction, so callers share it."""
-    return _ImageMap(s)
+@functools.lru_cache(maxsize=64)
+def _image_map(s: CoefficientSet, den: str = "C") -> _ImageMap:
+    """The scheme's C-map (A - lam B)/C, or with den "B" its B-map
+    (A - lam C)/B, built once: a build costs a root finding for the
+    denominator's poles, hashing the frozen scheme about a tenth of that.
+    Nothing changes an _ImageMap after construction, so callers share it.
+    The cache keys on the arguments as passed, so the C-map is always asked
+    for as _image_map(s)."""
+    polys = char_polys(s)
+    if not getattr(polys, den).any():
+        raise ValueError(f"scheme has no {'explicit' if den == 'B' else 'implicit'} part")
+    return _ImageMap(polys.A, polys.C if den == "B" else polys.B, getattr(polys, den))
 
 
 def mu_map(s: CoefficientSet, lam: complex, theta: float):
@@ -453,22 +380,84 @@ def mu_map(s: CoefficientSet, lam: complex, theta: float):
     for name, value in (("lambda", lam), ("theta", theta)):
         if value.ndim:
             raise ValueError(f"{name} must be a scalar, got shape {value.shape}")
-    image = _image_map(s)
-    grid = image.on(np.atleast_1d(theta.astype(float)))
-    if grid.pole[0]:
-        return None
-    return complex(image(lam, grid)[0])
+    mu, pole = _image_map(s).sample(lam, np.atleast_1d(theta.astype(float)))
+    return None if pole[0] else complex(mu[0])
 
 
 def mu_image(s: CoefficientSet, lam: complex, n: int = DEFAULT_N_THETA) -> BoundaryCurve:
     """Image of the unit circle under the implicit-eigenvalue map for fixed lambda."""
-    if n < 16:
-        raise ValueError("need at least 16 samples")
-    lam = finite_array(lam, "lambda")
+    return _image_map(s).curve(finite_array(lam, "lambda"), n)
+
+
+# ---------------------------------------------------------------------------
+# Boundary loci: the lam = 0 curves of the B-map and the C-map, refined
+# ---------------------------------------------------------------------------
+
+def _too_coarse(v0, pole0, v1, pole1):
+    """Which intervals to split: both ends finite, and the values differ by
+    more than 1e-6 and by 0.02 of the local scale or 0.05 in argument."""
+    both = ~(pole0 | pole1)
+    dv = np.abs(v1 - v0)
+    scale = np.maximum(1.0, np.minimum(np.abs(v0), np.abs(v1)))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        darg = np.abs(np.angle(np.where(both, v1, 1.0) / np.where(both, v0, 1.0)))
+    return both & (dv > 1e-6) & ((dv > 0.02 * scale) | (darg > 0.05))
+
+
+def _refine_locus(image: _ImageMap, curve: BoundaryCurve) -> BoundaryCurve:
+    """A locus, the lam = 0 curve of image, with midpoints inserted where
+    adjacent finite samples differ too much.
+
+    The thresholds (_too_coarse) keep the sampled polyline faithful near
+    sharp features; passes are capped at 8 so poles cannot trigger unbounded
+    refinement.
+
+    An interval that a pass leaves whole keeps both endpoints, so its verdict
+    cannot change: the first pass tests every interval, each later pass only
+    the two halves of every interval the pass before split. Midpoints are
+    sorted in once, at the end; none ties with a sample, since 8 halvings of
+    the closest samples (the 1e-6 pole zoom) still leave about 4e-9.
+    """
+    theta, values, pole = curve.theta, curve.values, curve.is_pole
+    parts = [(theta, values, pole)]
+    # each interval as its (theta, value, pole) at the left and right end
+    left, right = (theta[:-1], values[:-1], pole[:-1]), (theta[1:], values[1:], pole[1:])
+    for _ in range(8):
+        bad = _too_coarse(left[1], left[2], right[1], right[2])
+        if not bad.any():
+            break
+        left = tuple(x[bad] for x in left)
+        right = tuple(x[bad] for x in right)
+        mid = 0.5 * (left[0] + right[0])
+        split = (mid, *image.sample(0.0, mid))
+        parts.append(split)
+        left, right = (tuple(map(np.concatenate, zip(left, split))),
+                       tuple(map(np.concatenate, zip(split, right))))
+    theta, values, pole = map(np.concatenate, zip(*parts))
+    order = np.argsort(theta)
+    return BoundaryCurve(theta[order], values[order], pole[order], curve.asymptotes)
+
+
+def explicit_boundary(s: CoefficientSet, n: int = DEFAULT_N_THETA) -> BoundaryCurve:
+    """Boundary locus of the explicit stability region: A(e^(i theta)) / B(e^(i theta)),
+    the lam = 0 curve of the B-map, refined."""
+    image = _image_map(s, "B")
+    return _refine_locus(image, image.curve(0.0, n))
+
+
+def implicit_boundary(s: CoefficientSet, n: int = DEFAULT_N_THETA) -> BoundaryCurve:
+    """Boundary locus of the implicit stability region: A(e^(i theta)) / C(e^(i theta)),
+    the lam = 0 curve of the C-map, refined."""
     image = _image_map(s)
-    grid = image.on(_theta_grid(n, image.C.pole_angles))
-    return BoundaryCurve(grid.theta, image(lam, grid), grid.pole,
-                         image.C.asymptotes(image.numerator(lam, image.C.pole_z)))
+    return _refine_locus(image, image.curve(0.0, n))
+
+
+def lambda_at(s: CoefficientSet, theta) -> complex:
+    """Explicit boundary point at a single angle (or an array of them): the
+    B-map at lam = 0, so nan at a pole, as on explicit_boundary."""
+    theta = finite_array(theta, "theta")
+    values = _image_map(s, "B").sample(0.0, np.atleast_1d(theta))[0]
+    return values.reshape(theta.shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -711,10 +700,10 @@ def imex_alpha_sweep(s: CoefficientSet, lambda_curve: BoundaryCurve,
 
     # 1. limits at the anchors
     index = np.arange(len(lams))
-    poles = image.C.pole_angles
+    poles = image.den.pole_angles
     if len(poles):
         worst.offer(index[:, None, None], _wrap_angle(poles)[:, None],
-                    image.C.asymptotes(image.numerator(lams[:, None], image.C.pole_z)),
+                    image.den.asymptotes(image.numerator(lams[:, None], image.den.pole_z)),
                     "limit")
     star = image.on(lam_thetas)
     through_zero = np.abs(star.quotient(image.numerator(lams, star.z))) <= ORIGIN_TOLERANCE
@@ -939,16 +928,3 @@ def image_winding_number(values: np.ndarray, mu):
         winding += np.bincount(j, weights=crossing, minlength=len(flat))
     out = winding.astype(int)
     return int(out[0]) if mu.ndim == 0 else out.reshape(mu.shape)
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization
-# ---------------------------------------------------------------------------
-
-def curve_to_csv(curve: BoundaryCurve, fh) -> None:
-    """Write a curve as CSV rows theta,re,im,is_pole (pole rows read nan,nan,1)."""
-    fh.write("theta,re,im,is_pole\n")
-    re = np.where(curve.is_pole, np.nan, curve.values.real)
-    im = np.where(curve.is_pole, np.nan, curve.values.imag)
-    fh.write(format_rows(f"{FLOAT},{FLOAT},{FLOAT},%d\n", curve.theta, re, im,
-                         curve.is_pole))

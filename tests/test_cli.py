@@ -416,6 +416,24 @@ class TestConverge:
         assert len(rows) == 4
         assert all(float(r["error"]) < 1e-15 for r in rows)
 
+    @pytest.mark.parametrize("argv", [["--dnum", "1e10", "--levels", "2"], ["--dnum", "1e300"]])
+    def test_errors_at_rounding_level_get_a_note(self, capsys, argv):
+        # the exact solution has decayed to 0: every error is 8.0e-18, and
+        # the fitted_order (2.26e-09, -1.3e-15) fits rounding noise
+        assert main(["converge", "--problem", "advdiff", "--scheme", "imex-biased-k3",
+                     *argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("scheme,problem,dt,error,fitted_order\n")
+        assert "note" not in captured.out
+        assert captured.err.startswith("note: every error of imex-biased-k3 is at the "
+                                       "rounding level of its initial state")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [[], ["--problem", "advdiff"]])
+    def test_converging_runs_get_no_note(self, capsys, argv):
+        assert main(["converge", *argv]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("scheme", ["imex-biased-k3", "ssp3"])
     def test_advdiff_steps_no_circulant_operator(self, tmp_path, monkeypatch, scheme):
         calls = []

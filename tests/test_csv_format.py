@@ -13,17 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imexssp import problems
-from imexssp.cli import _phi_family_csv, main
+from imexssp.cli import _curves_csv, main
 from imexssp.csvfmt import fill, fmt, format_rows
 from imexssp.integrate import BlowUpError, integrate
 from imexssp.schemes import scheme_from_id
-from imexssp.stability import (
-    curve_to_csv,
-    explicit_boundary,
-    implicit_boundary,
-    mu_image,
-    restrict_curve,
-)
+from imexssp.stability import explicit_boundary, implicit_boundary, mu_image, restrict_curve
 from imexssp.verify import angle_table
 
 
@@ -189,7 +183,8 @@ class TestGolden:
                   (-0.25 - 0.5j, mu_image(s, -0.25 - 0.5j, 100)),
                   (-0.5 + 0.25j, mu_image(s, -0.5 + 0.25j, 64))]
         buf = io.StringIO()
-        _phi_family_csv(family, buf)
+        _curves_csv("lambda_re,lambda_im,",
+                    [(f"{fmt(lam.real)},{fmt(lam.imag)},", img) for lam, img in family], buf)
         assert buf.getvalue() == old_family_csv(family)
 
     @pytest.mark.parametrize("argv,curve", [
@@ -205,7 +200,7 @@ class TestGolden:
         expected = old_curve_csv(curve())
         assert cli_text(tmp_path, argv) == expected
         buf = io.StringIO()
-        curve_to_csv(curve(), buf)
+        _curves_csv("", [("", curve())], buf)
         assert buf.getvalue() == expected
 
     def test_implicit_locus_has_pole_rows(self):

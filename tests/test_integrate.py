@@ -257,6 +257,49 @@ class TestCirculantFFTSolve:
         np.testing.assert_array_equal(op.apply(v), expected)
 
 
+def old_circulant_solve(op, alpha, beta, rhs):
+    """CirculantOperator.solve_shifted as it was, with denominators and a
+    singular check of its own beside ScalarOperator's."""
+    shifted = beta * op.eigenvalues
+    den = alpha - shifted
+    if np.any(abs(den) < 1e-14 * np.maximum(max(1.0, abs(alpha)), abs(shifted))):
+        raise StepFailureError("singular implicit system: circulant eigenvalue ~ 0")
+    x = np.fft.ifft(np.fft.fft(rhs) / den)
+    return x if np.iscomplexobj(rhs) else x.real
+
+
+class TestSolveThroughModes:
+    """A circulant solve is fft, then the diagonal solve of its modes, then ifft."""
+
+    @pytest.mark.parametrize("stencil", sorted(STENCILS))
+    @pytest.mark.parametrize("n", [3, 5, 12, 64])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_bit_identical_to_the_old_solve(self, stencil, n, kind):
+        op = CirculantOperator(*STENCILS[stencil], n)
+        rng = np.random.default_rng(n)
+        # a repeated pair reads the kept denominators
+        for alpha, beta in [(2.0, 0.1), (1.5, -0.05), (1.5, -0.05), (2.0, 0.1)]:
+            rhs = rng.uniform(-1, 1, n)
+            if kind == "complex":
+                rhs = rhs + 1j * rng.uniform(-1, 1, n)
+            got = op.solve_shifted(alpha, beta, rhs)
+            want = old_circulant_solve(op, alpha, beta, rhs)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_singular_pair_raises(self):
+        # 1 + 0.25 * symbol vanishes on the phi = pi mode of the 3-point stencil
+        op = CirculantOperator(*STENCILS["3-point"], 12)
+        with pytest.raises(StepFailureError):
+            old_circulant_solve(op, 1.0, -0.25, np.ones(12))
+        with pytest.raises(StepFailureError):
+            op.solve_shifted(1.0, -0.25, np.ones(12))
+
+    def test_modes_are_the_eigenvalues_built_once(self):
+        op = CirculantOperator(*STENCILS["4-point"], 12)
+        assert isinstance(op.modes, ScalarOperator)
+        assert op.modes is op.modes and op.modes.coef is op.eigenvalues
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     stencil=st.lists(st.tuples(st.integers(-3, 3), st.floats(-1.0, 1.0)),
@@ -648,7 +691,45 @@ class TestGrowthFactor:
         assert abs(ratio - dominant) < 1e-8
 
 
+def old_empirical_stability(s, lam, mu, n_steps):
+    """empirical_stability as it was, with a hand-built History: the threshold
+    is read before the singular pairs' levels are zeroed."""
+    lam, mu = np.broadcast_arrays(np.asarray(lam), np.asarray(mu))
+    lam, mu = lam.astype(complex).ravel(), mu.astype(complex).ravel()
+    singular = ScalarOperator(mu).singular(s.a_array()[0], s.c_array()[0])
+    op = LinearSplitOperator(ScalarOperator(lam), ScalarOperator(np.where(singular, 0.0, mu)))
+    ys = [np.exp((lam + mu) * j) + 1e-6 * (-1) ** j for j in range(s.k)][::-1]
+    threshold = 1e3 * np.maximum(1.0, np.abs(ys).max(axis=0))
+    live = ~singular
+    for y in ys:
+        y[singular] = 0.0
+    h = History(s.k, ys, [op.explicit.apply(y) for y in ys],
+                [op.implicit.apply(y) for y in ys], t=float(s.k - 1), dt=1.0)
+    for _ in range(n_steps):
+        if not live.any():
+            break
+        m = np.abs(step(s, h, op))
+        out = ~np.isfinite(m) | (m > 1e12) | (m > threshold)
+        if out.any():
+            live &= ~out
+            for level in (*h.y, *h.f, *h.g):
+                level[out] = 0.0
+    return live
+
+
 class TestEmpiricalStability:
+    @pytest.mark.parametrize("sid", BUILTIN_IDS)
+    def test_verdicts_of_the_hand_built_start(self, sid):
+        s = scheme_from_id(sid)
+        rng = np.random.default_rng(11)
+        lams = rng.uniform(-3.0, 0.5, 500) + 1j * rng.uniform(-2.5, 2.5, 500)
+        mus = rng.uniform(-6.0, 1.0, 500) + 1j * rng.uniform(-4.0, 4.0, 500)
+        if s.is_implicit:
+            mus[:5] = s.a_array()[0] / s.c_array()[0]  # singular: a_0 - c_0 mu = 0
+        new = empirical_stability(s, lams, mus, 300)
+        np.testing.assert_array_equal(new, old_empirical_stability(s, lams, mus, 300))
+        assert 0 < new.sum() < len(new)
+
     def test_inside_real_interval(self):
         assert empirical_stability(ssp_explicit(3), -1.0, 0.0)
 

@@ -24,9 +24,10 @@ LOCI.update({f"implicit-centred-k{k}-beta{beta}": (implicit_centred(k, beta), "i
              for k in (3, 4) for beta in (0.0, 0.1, 0.25, 0.4, 0.5)})
 
 
-def old_refine_locus(num, den, theta, values, pole):
+def old_refine_locus(image, curve):
     """_refine_locus as it was: every pass tests every adjacent pair of the
     whole locus and sorts the midpoints in."""
+    theta, values, pole = curve.theta, curve.values, curve.is_pole
     for _ in range(8):
         v0, v1 = values[:-1], values[1:]
         both = ~(pole[:-1] | pole[1:])
@@ -38,13 +39,13 @@ def old_refine_locus(num, den, theta, values, pole):
         if not bad.any():
             break
         mid = 0.5 * (theta[:-1][bad] + theta[1:][bad])
-        mv, mp = stability._eval_locus(num, den, mid)
+        mv, mp = image.sample(0.0, mid)
         theta = np.concatenate([theta, mid])
         values = np.concatenate([values, mv])
         pole = np.concatenate([pole, mp])
         order = np.argsort(theta)
         theta, values, pole = theta[order], values[order], pole[order]
-    return theta, values, pole
+    return stability.BoundaryCurve(theta, values, pole, curve.asymptotes)
 
 
 def assert_same_as_old(monkeypatch, build):
@@ -75,17 +76,17 @@ def test_centred_family_bit_identical(k, beta, n):
 
 
 class Counts:
-    """Wraps _eval_locus and _too_coarse: the points each evaluation takes
-    (the first is the initial grid) and, per pass, the intervals tested and
-    the intervals split."""
+    """Wraps _ImageMap.sample and _too_coarse: the points each evaluation
+    takes (the first is the initial grid) and, per pass, the intervals tested
+    and the intervals split."""
 
     def __init__(self, monkeypatch):
         self.evaluated, self.tested, self.split = [], [], []
-        eval_locus, too_coarse = stability._eval_locus, stability._too_coarse
+        sample, too_coarse = stability._ImageMap.sample, stability._too_coarse
 
-        def counting_eval(num, den, theta):
+        def counting_eval(image, lam, theta):
             self.evaluated.append(len(theta))
-            return eval_locus(num, den, theta)
+            return sample(image, lam, theta)
 
         def counting_test(*args):
             bad = too_coarse(*args)
@@ -93,7 +94,7 @@ class Counts:
             self.split.append(int(bad.sum()))
             return bad
 
-        monkeypatch.setattr(stability, "_eval_locus", counting_eval)
+        monkeypatch.setattr(stability._ImageMap, "sample", counting_eval)
         monkeypatch.setattr(stability, "_too_coarse", counting_test)
 
 

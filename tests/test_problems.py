@@ -120,6 +120,12 @@ class TestFourierModes:
             np.testing.assert_allclose(diagonal.apply(np.fft.fft(v, norm="forward")),
                                        np.fft.fft(half.apply(v), norm="forward"), atol=1e-12)
 
+    def test_halves_are_the_operators_modes(self):
+        prob = self.advdiff()
+        modal = fourier_modes(prob)
+        assert modal.operator.explicit is prob.operator.explicit.modes
+        assert modal.operator.implicit is prob.operator.implicit.modes
+
     def test_zero_half_stays_zero(self):
         modal = fourier_modes(self.advdiff(dnum=0.0))
         assert isinstance(modal.operator.explicit, ScalarOperator)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imexssp import stability
+from imexssp.cli import _curves_csv
 from imexssp.schemes import (
     REGISTRY_IDS,
     char_polys,
@@ -21,7 +22,6 @@ from imexssp.schemes import (
 from imexssp.stability import (
     BoundaryCurve,
     alpha_closed_form,
-    curve_to_csv,
     explicit_boundary,
     image_winding_number,
     imex_alpha_sweep,
@@ -425,7 +425,7 @@ class TestCsv:
     def test_curve_csv_format(self):
         curve = explicit_boundary(ssp_explicit(3), 64)
         buf = io.StringIO()
-        curve_to_csv(curve, buf)
+        _curves_csv("", [("", curve)], buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "theta,re,im,is_pole"
         first = lines[1].split(",")
@@ -435,5 +435,5 @@ class TestCsv:
     def test_pole_rows_marked(self):
         curve = implicit_boundary(implicit_centred(3, 0), 64)
         buf = io.StringIO()
-        curve_to_csv(curve, buf)
+        _curves_csv("", [("", curve)], buf)
         assert ",nan,nan,1" in buf.getvalue()

@@ -50,19 +50,30 @@ SIGNATURES = {
     ("problems", "monotone_staircase"): [("n", REQUIRED), ("seed", 1234)],
     ("problems", "upwind_advection"): [("grid", REQUIRED), ("initial", None)],
     ("stability", "min_image_real_part"): [("s", REQUIRED)],
-    ("stability", "_locus"): [("num", REQUIRED), ("den", REQUIRED), ("n", REQUIRED)],
-    ("stability", "_refine_locus"): [("num", REQUIRED), ("den", REQUIRED), ("theta", REQUIRED),
-                                     ("values", REQUIRED), ("pole", REQUIRED)],
+    ("stability", "_refine_locus"): [("image", REQUIRED), ("curve", REQUIRED)],
+    ("stability", "_image_map"): [("s", REQUIRED), ("den", "C")],
+    ("stability", "_ImageMap"): [("A", REQUIRED), ("P", REQUIRED), ("Q", REQUIRED)],
+    ("stability", "_ImageMap.sample"): [("self", REQUIRED), ("lam", REQUIRED),
+                                        ("theta", REQUIRED)],
+    ("stability", "_ImageMap.curve"): [("self", REQUIRED), ("lam", REQUIRED), ("n", REQUIRED)],
     ("verify", "check_zero_slope_expansion"): [("scale", 1.0)],
     ("verify", "check_tvd_ssp"): [("scale", 1.0)],
     ("verify", "check_root_vs_empirical"): [("scale", 1.0)],
     ("cli", "_svg_render"): [("curves", REQUIRED)],
+    ("cli", "_curves_csv"): [("columns", REQUIRED), ("curves", REQUIRED), ("fh", REQUIRED)],
 }
+
+
+def _resolve(module, qualname):
+    obj = importlib.import_module(f"imexssp.{module}")
+    for part in qualname.split("."):
+        obj = getattr(obj, part)
+    return obj
 
 
 @pytest.mark.parametrize("module,name", sorted(SIGNATURES))
 def test_pruned_signature(module, name):
-    fn = getattr(importlib.import_module(f"imexssp.{module}"), name)
+    fn = _resolve(module, name)
     params = inspect.signature(fn).parameters.values()
     assert [(p.name, p.default) for p in params] == SIGNATURES[module, name]
 
@@ -90,6 +101,11 @@ def test_pruned_fields(module, name):
     ("stability", "_asymptote_angle"),
     ("stability", "_sample_angles"),
     ("stability.BoundaryCurve", "pole_angles"),
+    ("stability", "_eval_locus"),
+    ("stability", "_locus"),
+    ("stability", "curve_to_csv"),
+    ("stability", "_unit_circle_pole_angles"),
+    ("cli", "_phi_family_csv"),
 ])
 def test_deleted_name_stays_deleted(owner, name):
     module, _, attr = owner.partition(".")
@@ -113,10 +129,7 @@ def _traced_names():
 def test_benchmark_traced_name_resolves(module, qualname):
     # the benchmark's tracer wraps these by name: a rename must show here,
     # not only in a benchmark run
-    obj = importlib.import_module(f"imexssp.{module}")
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    assert callable(obj)
+    assert callable(_resolve(module, qualname))
 
 
 def _imports(module):
@@ -143,6 +156,11 @@ def test_runtime_imports_only_stdlib_and_numpy(module):
     # accidental import of one would pass everything else
     external, _ = _imports(module)
     assert external - sys.stdlib_module_names - {"numpy"} == set()
+
+
+def test_only_cli_writes_csv():
+    # one CSV writer: the number format is the command line's business
+    assert [m for m in MODULES if "csvfmt" in _imports(m)[1]] == ["cli"]
 
 
 def test_package_import_graph_has_no_cycle():
