@@ -21,7 +21,7 @@ from . import problems
 from .csvfmt import FLOAT, fill, fmt, format_rows
 from .integrate import BlowUpError, StepFailureError, integrate
 from .schemes import BUILTIN_IDS, REGISTRY_IDS, scheme_from_id, scheme_parameters
-from .stability import explicit_boundary, implicit_boundary, mu_image, restrict_curve
+from .stability import _image_map, explicit_boundary, implicit_boundary, restrict_curve
 from .verify import CRITERIA, angle_table, run_criteria
 from . import __version__
 
@@ -197,8 +197,9 @@ def cmd_regions(args) -> int:
         if args.nu is not None:
             lam_curve = restrict_curve(lam_curve, args.nu)
         idx = np.linspace(0, len(lam_curve.theta) - 1, args.family_size).astype(int)
-        family = [(lam_curve.values[i], mu_image(s, lam_curve.values[i], args.n_theta))
-                  for i in idx if not lam_curve.is_pole[i]]
+        lams = [lam_curve.values[i] for i in idx if not lam_curve.is_pole[i]]
+        # every image on one circle grid, as mu_image maps each
+        family = list(zip(lams, _image_map(s).family(lams, args.n_theta)))
         if args.format == "svg":
             _write_output(_svg_render([(f"lam={lam:.3g}", img) for lam, img in family]),
                           args.out)

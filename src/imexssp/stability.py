@@ -7,7 +7,10 @@ characteristic-root stability oracle
 (root_verdicts, with root_condition as its one-pair form), an array
 winding-number count, wedge-angle measurement with closed-form counterparts,
 and the sweep that finds the worst-case implicit wedge over a family of
-explicit eigenvalues, with the sample that attains it.
+explicit eigenvalues, with the sample that attains it. The polynomial work
+on the unit circle (circle roots, pole-anchored Taylor forms, the limit
+kernel) lives in _circle, and the sweep's closed-form anchor minima in
+_anchors.
 
 All stability statements use the transformed variable z = 1/zeta: a (lambda,
 mu) pair is stable when every root of A(z) - lambda*B(z) - mu*C(z) lies on or
@@ -18,10 +21,18 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._circle import (
+    _anchor_directions,
+    _Denominator,
+    _theta_grid,
+    _unit_circle_poles,  # noqa: F401 (tests read it here)
+    _wrap_angle,
+    _wrap_diff,
+)
 from .schemes import CoefficientSet, char_polys, finite_array, polyval
 
 __all__ = [
@@ -61,17 +72,6 @@ POLE_TOLERANCE = 1e-12
 ORIGIN_TOLERANCE = 1e-9
 DEFAULT_N_THETA = 4096
 
-# Geometric offsets inserted on both sides of every pole of a locus, so that
-# the sampled curve follows its asymptote (measure_alpha takes the asymptote
-# itself in closed form). Depth is capped at 1e-6; closer samples would be
-# dominated by the rounding noise of locating the pole.
-_POLE_ZOOM_OFFSETS = np.concatenate([10.0 ** -np.arange(2.0, 6.1, 0.5),
-                                     -(10.0 ** -np.arange(2.0, 6.1, 0.5))])
-
-# Half-width of the window around a pole inside which the locus denominator
-# is evaluated by its Taylor form anchored at the pole (cancellation-free).
-_POLE_WINDOW = 0.05
-
 
 @dataclass(frozen=True)
 class BoundaryCurve:
@@ -82,12 +82,17 @@ class BoundaryCurve:
     asymptotes holds the unit directions in which the curve leaves towards
     infinity, one per side of each pole of the underlying map, when the
     constructor knows them; measure_alpha reads them as limits of the curve.
+    A locus also carries the map whose lam = 0 curve it samples, and a
+    clipped locus the strip half-width nu (restrict_curve): imex_alpha_sweep
+    reads them to take its anchor minima over the whole curve in closed form.
     """
 
     theta: np.ndarray
     values: np.ndarray
     is_pole: np.ndarray
     asymptotes: np.ndarray = ()
+    _source: "_ImageMap | None" = field(default=None, repr=False, compare=False)
+    _nu: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
@@ -145,113 +150,6 @@ class StabilityVerdict:
 # Quotient maps on the unit circle: the one kernel
 # ---------------------------------------------------------------------------
 
-def _unit_circle_poles(den_coeffs: np.ndarray):
-    """Angles at which the denominator vanishes on the unit circle, and the
-    order of each zero.
-
-    Roots are clustered (a multiple root splits under rounding) and each
-    cluster is represented by its mean, which is accurate to rounding even
-    for defective pairs; its size is the order.
-    """
-    coeffs = np.trim_zeros(np.asarray(den_coeffs, dtype=complex), "b")
-    if len(coeffs) < 2:
-        return np.array([]), np.array([], dtype=int)
-    roots = np.roots(coeffs[::-1])
-    roots = roots[np.abs(np.abs(roots) - 1.0) < 1e-6]
-    clusters = []
-    for r in roots:
-        for cl in clusters:
-            if abs(r - cl[0]) < 1e-5:
-                cl.append(r)
-                break
-        else:
-            clusters.append([r])
-    return (np.array([np.angle(np.mean(cl)) for cl in clusters]),
-            np.array([len(cl) for cl in clusters], dtype=int))
-
-
-def _wrap_angle(theta: np.ndarray) -> np.ndarray:
-    return np.mod(theta + np.pi, 2 * np.pi) - np.pi
-
-
-def _wrap_diff(theta, theta0):
-    """Signed angular distance theta - theta0, wrapped to (-pi, pi]."""
-    d = np.asarray(theta) - theta0
-    return d - 2 * np.pi * np.round(d / (2 * np.pi))
-
-
-def _theta_grid(n: int, pole_angles: np.ndarray) -> np.ndarray:
-    """Uniform grid on [-pi, pi) plus geometric zoom samples around each pole."""
-    theta = np.linspace(-np.pi, np.pi, n, endpoint=False)
-    if len(pole_angles):
-        zoom = _wrap_angle(pole_angles[:, None] + _POLE_ZOOM_OFFSETS[None, :]).ravel()
-        theta = np.concatenate([theta, zoom])
-    theta = np.sort(theta)
-    keep = np.concatenate([[True], np.diff(theta) > 1e-15])
-    return theta[keep]
-
-
-def _anchor_directions(lead, order) -> np.ndarray:
-    """The limit kernel: mu ~ lead * d**order near an anchor, d = theta -
-    theta_a (order 1 at a zero crossing, -m at a pole of order m), has unit
-    directions lead/|lead| * (1, (-1)**order) as d -> +0, -0 (last axis)."""
-    with np.errstate(invalid="ignore"):
-        u = lead / np.abs(lead)
-    return np.stack([u, u * (-1.0) ** order], axis=-1)
-
-
-class _Denominator:
-    """A locus denominator on the unit circle, with its circle roots found
-    and its pole-anchored Taylor coefficients computed once.
-
-    Direct evaluation loses all relative accuracy near a circle root through
-    cancellation. Within _POLE_WINDOW of each root the anchored form
-    sum_m D_m/m! * w^m with w = e^(i theta) - e^(i theta_p)
-    = 2i sin(d/2) e^(i(theta_p + d/2)) is used instead; it keeps full relative
-    accuracy down to the smallest zoom offsets (the m=0 term is dropped: it
-    is zero at the pole up to rounding junk).
-    """
-
-    def __init__(self, coeffs):
-        self.coeffs = np.asarray(coeffs, dtype=complex)
-        self.pole_angles, self.pole_orders = _unit_circle_poles(self.coeffs)
-        self.pole_z = np.exp(1j * self.pole_angles)
-        self._taylor = []
-        for theta_p, z_p in zip(self.pole_angles, self.pole_z):
-            deriv, fact, terms = self.coeffs, 1.0, []
-            for m in range(1, len(self.coeffs)):
-                deriv = np.polynomial.polynomial.polyder(deriv)
-                fact *= m
-                terms.append(polyval(deriv, z_p) / fact)
-            self._taylor.append((theta_p, terms))
-        t_m = [terms[m - 1] for (_, terms), m in zip(self._taylor, self.pole_orders)]
-        self.pole_lead = np.array(t_m, dtype=complex) * (1j * self.pole_z) ** self.pole_orders
-
-    def asymptotes(self, num_at_poles) -> np.ndarray:
-        """num/den's directions on both sides of each pole (_anchor_directions),
-        from num's values at the poles: with w ~ i z_p d, the leading Taylor
-        term makes num/den ~ (num(z_p) / pole_lead) / d**m."""
-        return _anchor_directions(num_at_poles / self.pole_lead, -self.pole_orders)
-
-    def __call__(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """The denominator at z = e^(i theta)."""
-        vals = polyval(self.coeffs, z)
-        for theta_p, terms in self._taylor:
-            d = _wrap_diff(theta, theta_p)
-            mask = np.abs(d) < _POLE_WINDOW
-            if not mask.any():
-                continue
-            dm = d[mask]
-            w = 2j * np.sin(dm / 2) * np.exp(1j * (theta_p + dm / 2))
-            acc = np.zeros(len(dm), dtype=complex)
-            wpow = np.ones(len(dm), dtype=complex)
-            for term in terms:
-                wpow = wpow * w
-                acc += term * wpow
-            vals[mask] = acc
-        return vals
-
-
 class _CircleGrid:
     """Circle angles theta (any shape) with a denominator evaluated on them.
 
@@ -275,6 +173,10 @@ class _CircleGrid:
 
 # image samples per block when many lambdas are mapped (128 kB of complex)
 _BLOCK_SAMPLES = 8192
+
+# A numerator at a pole below this share of its coefficient scale is rounding
+# noise: the image has no pole there (pole_directions).
+_ROUNDING = 64 * np.finfo(float).eps
 
 
 class _ImageMap:
@@ -322,14 +224,30 @@ class _ImageMap:
         grid = self.on(theta)
         return self(lam, grid), grid.pole
 
+    def pole_directions(self, lams) -> np.ndarray:
+        """The image's directions on both sides of each pole (_Denominator.
+        asymptotes) for lams of any shape, the poles on a new axis before the
+        last; nan where A - lam P vanishes at the pole up to rounding, since
+        the image then has no pole there and its direction is noise."""
+        num = self.numerator(lams, self.den.pole_z)
+        scale = np.abs(self.A).sum() + np.abs(lams) * np.abs(self.P).sum()
+        return self.den.asymptotes(np.where(np.abs(num) <= _ROUNDING * scale, np.nan, num))
+
     def curve(self, lam, n: int) -> BoundaryCurve:
         """The image of the circle for one lam, unrefined: n >= 16 uniform
         angles plus the zoom samples around the poles, and the asymptotes."""
         if n < 16:
             raise ValueError("need at least 16 samples")
         theta = _theta_grid(n, self.den.pole_angles)
-        return BoundaryCurve(theta, *self.sample(lam, theta),
-                             self.den.asymptotes(self.numerator(lam, self.den.pole_z)))
+        return BoundaryCurve(theta, *self.sample(lam, theta), self.pole_directions(lam))
+
+    def family(self, lams, n: int) -> list:
+        """curve for each of lams, every image read off one circle grid."""
+        if n < 16:
+            raise ValueError("need at least 16 samples")
+        grid = self.on(_theta_grid(n, self.den.pole_angles))
+        return [BoundaryCurve(grid.theta, self(lam, grid), grid.pole, self.pole_directions(lam))
+                for lam in lams]
 
     def crossing_terms(self, lams, grid: _CircleGrid):
         """dmu/dtheta and d2mu/dtheta2 (lams and grid.theta broadcast) where
@@ -416,7 +334,8 @@ def _refine_locus(image: _ImageMap, curve: BoundaryCurve) -> BoundaryCurve:
     cannot change: the first pass tests every interval, each later pass only
     the two halves of every interval the pass before split. Midpoints are
     sorted in once, at the end; none ties with a sample, since 8 halvings of
-    the closest samples (the 1e-6 pole zoom) still leave about 4e-9.
+    the closest samples (the 1e-6 pole zoom) still leave about 4e-9. The
+    locus carries image as its source.
     """
     theta, values, pole = curve.theta, curve.values, curve.is_pole
     parts = [(theta, values, pole)]
@@ -435,7 +354,7 @@ def _refine_locus(image: _ImageMap, curve: BoundaryCurve) -> BoundaryCurve:
                        tuple(map(np.concatenate, zip(split, right))))
     theta, values, pole = map(np.concatenate, zip(*parts))
     order = np.argsort(theta)
-    return BoundaryCurve(theta[order], values[order], pole[order], curve.asymptotes)
+    return BoundaryCurve(theta[order], values[order], pole[order], curve.asymptotes, image)
 
 
 def explicit_boundary(s: CoefficientSet, n: int = DEFAULT_N_THETA) -> BoundaryCurve:
@@ -606,9 +525,13 @@ class SweepResult:
     eigenvalue, its curve parameter, the circle angle and, for kind "sample",
     the image there or, for kind "limit", the unit direction in which the
     image approaches the anchor theta (a pole, or theta_star); None when
-    nothing constrains (alpha = pi/2). n_evals counts image samples and limit
-    directions; resolution is the theta width of the final golden-section
-    brackets.
+    nothing constrains (alpha = pi/2). n_evals counts the image samples and
+    limit directions ranked, closed-form candidates included. resolution is
+    the theta width to which the minimum was located: on a locus, the Newton
+    step left at the root of the best closed-form candidate (at least the
+    spacing of doubles near pi), and at least the width of the final
+    golden-section brackets where any were searched; for any other family,
+    that width.
     """
 
     alpha: float
@@ -627,11 +550,11 @@ class _Worst:
 
     def __init__(self):
         self.ratio = math.inf
-        self.at = None  # (lambda index, theta, mu, kind)
+        self.at = None  # (theta_star, lambda, theta, mu, kind)
         self.n_evals = 0
 
-    def offer(self, at, theta, mu: np.ndarray, kind: str) -> np.ndarray:
-        """Ratios of mu at (lambda indices at, theta), broadcast to mu's shape;
+    def offer(self, theta_star, lam, theta, mu: np.ndarray, kind: str) -> np.ndarray:
+        """Ratios of mu at (theta_star, lam, theta), broadcast to mu's shape;
         inf where mu does not constrain (pole, Re mu >= -ORIGIN_TOLERANCE).
         kind says whether mu holds image samples or limit directions."""
         neg = -mu.real
@@ -641,7 +564,8 @@ class _Worst:
         i = np.unravel_index(np.argmin(r), r.shape)
         if r[i] < self.ratio:
             self.ratio = float(r[i])
-            self.at = (int(np.broadcast_to(at, r.shape)[i]),
+            self.at = (float(np.broadcast_to(theta_star, r.shape)[i]),
+                       complex(np.broadcast_to(lam, r.shape)[i]),
                        float(np.broadcast_to(theta, r.shape)[i]), complex(mu[i]), kind)
         return r
 
@@ -664,23 +588,29 @@ def imex_alpha_sweep(s: CoefficientSet, lambda_curve: BoundaryCurve,
                      n_theta: int = DEFAULT_N_THETA) -> SweepResult:
     """Worst-case implicit wedge angle over a family of explicit eigenvalues.
 
-    For every finite lambda sample the unit circle is mapped to the implicit
+    For every lambda of the family the unit circle is mapped to the implicit
     eigenvalue plane and the admissible wedge is measured; the infimum over
     the family is returned with its witness. Samples are ranked by
     |Im mu| / -Re mu, and atan is taken once, of the winner. The result is
     as tight as mapping every lambda over the uniform n_theta grid (up to
     rounding) without doing so:
 
-    1. every lambda contributes the limits of its image at the anchors: the
-       poles of the map, and its own curve parameter where its image passes
-       through zero (lambda on the explicit locus); each side of an anchor
-       gives the direction of the leading Taylor term (_anchor_directions);
+    1. the limits of the images at the anchors: the poles of the map, and
+       each lambda's own curve parameter where its image passes through zero
+       (lambda on the explicit locus); each side of an anchor gives the
+       direction of the leading Taylor term (_anchor_directions). For a
+       locus from explicit_boundary of a scheme with this A and B, clipped
+       or not (restrict_curve), these are taken at their exact infimum over
+       the continuous family (_anchors.anchor_minima), so the witness names
+       theta* exactly; for any other family, at every finite sample;
     2. every _LAMBDA_STRIDE-th lambda is mapped over a coarse subset of the
        n_theta grid;
     3. each lambda near the best local minima of that scan is mapped over
        the coarse grid, then at the n_theta grid angles of its best coarse
        cell, and the best of those is refined by golden section between its
-       grid neighbours.
+       grid neighbours. On a locus, stage 1 already covers a bracket whose
+       centre lies within two grid steps of one of its lambda's anchors, so
+       only the others are searched.
     """
     if n_theta < 16:
         raise ValueError("need at least 16 samples")
@@ -695,20 +625,38 @@ def imex_alpha_sweep(s: CoefficientSet, lambda_curve: BoundaryCurve,
     def ratios(at, theta):
         r = np.empty((len(at), theta.shape[-1]))
         for rows, th, mu in image.blocks(lams[at], theta):
-            r[rows] = worst.offer(at[rows, None], th, mu, "sample")
+            r[rows] = worst.offer(lam_thetas[at[rows], None], lams[at[rows], None], th, mu,
+                                  "sample")
         return r
+
+    def through_zero(at):
+        """Which lambdas' images pass through zero at their own theta*."""
+        star = image.on(lam_thetas[at])
+        return star, np.abs(star.quotient(image.numerator(lams[at], star.z))) <= ORIGIN_TOLERANCE
 
     # 1. limits at the anchors
     index = np.arange(len(lams))
     poles = image.den.pole_angles
-    if len(poles):
-        worst.offer(index[:, None, None], _wrap_angle(poles)[:, None],
-                    image.den.asymptotes(image.numerator(lams[:, None], image.den.pole_z)),
-                    "limit")
-    star = image.on(lam_thetas)
-    through_zero = np.abs(star.quotient(image.numerator(lams, star.z))) <= ORIGIN_TOLERANCE
-    slope = np.where(through_zero, image.crossing_terms(lams, star)[0], np.nan)
-    worst.offer(index[:, None], lam_thetas[:, None], _anchor_directions(slope, 1), "limit")
+    # the family is a locus the closed form covers: A/B of this A and B, no poles
+    locus = lambda_curve._source
+    if locus is not None and not (len(locus.den.pole_angles) == 0
+                                  and np.array_equal(locus.A, image.A)
+                                  and np.array_equal(locus.den.coeffs, image.P)):
+        locus = None
+    if locus is not None:
+        # imported here: only a sweep over a locus reads the closed form
+        from ._anchors import anchor_minima
+        resolution = max(anchor_minima(image, locus, lambda_curve._nu, worst),
+                         np.spacing(np.pi))
+    else:
+        if len(poles):
+            worst.offer(lam_thetas[:, None, None], lams[:, None, None],
+                        _wrap_angle(poles)[:, None], image.pole_directions(lams[:, None]),
+                        "limit")
+        star, zero = through_zero(index)
+        slope = np.where(zero, image.crossing_terms(lams, star)[0], np.nan)
+        worst.offer(lam_thetas[:, None], lams[:, None], lam_thetas[:, None],
+                    _anchor_directions(slope, 1), "limit")
 
     # 2. coarse scan
     dense = np.linspace(-np.pi, np.pi, n_theta, endpoint=False)
@@ -739,6 +687,12 @@ def imex_alpha_sweep(s: CoefficientSet, lambda_curve: BoundaryCurve,
     theta = dense[(coarse_at[best - 1, None] + np.arange(2 * -(-n_theta // n_coarse) + 1))
                   % n_theta]
     centre = theta[np.arange(len(at)), np.argmin(ratios(at, theta), axis=1)]
+    h = 2 * np.pi / n_theta
+    if locus is not None:
+        near = through_zero(at)[1] & (np.abs(_wrap_diff(centre, lam_thetas[at])) <= 2 * h)
+        for theta_p in poles:
+            near |= np.abs(_wrap_diff(centre, theta_p)) <= 2 * h
+        at, centre = at[~near], centre[~near]
 
     def ratio_at(x):
         x = _wrap_angle(x)
@@ -747,17 +701,18 @@ def imex_alpha_sweep(s: CoefficientSet, lambda_curve: BoundaryCurve,
         for theta_p in poles:
             near |= np.abs(_wrap_diff(x, theta_p)) < _ANCHOR_HOLE
         mu[near] = np.nan
-        return worst.offer(at, x, mu, "sample")
+        return worst.offer(lam_thetas[at], lams[at], x, mu, "sample")
 
-    h = 2 * np.pi / n_theta
+    golden = 2 * h * _INV_PHI ** _GOLDEN_STEPS
     if len(at):
         _golden_min(ratio_at, centre - h, centre + h, _GOLDEN_STEPS)
+    if locus is None:
+        resolution = golden
+    elif len(at):
+        resolution = max(resolution, golden)
     w = WedgeAngle.from_tan(worst.ratio)
-    i, theta, mu, kind = worst.at or (None, None, None, None)
-    return SweepResult(w.alpha, w.tan_alpha,
-                       None if i is None else float(lam_thetas[i]),
-                       None if i is None else complex(lams[i]), theta, mu, kind,
-                       worst.n_evals, 2 * h * _INV_PHI ** _GOLDEN_STEPS)
+    return SweepResult(w.alpha, w.tan_alpha, *(worst.at or (None,) * 5),
+                       worst.n_evals, resolution)
 
 
 def restrict_curve(curve: BoundaryCurve, nu: float) -> BoundaryCurve:
@@ -767,7 +722,8 @@ def restrict_curve(curve: BoundaryCurve, nu: float) -> BoundaryCurve:
     Im = +/-nu between the interpolated crossing points, so the result is the
     closed boundary of the restricted stability region. The curve is closed:
     an excursion may run across the seam theta = +/-pi, and the result's
-    theta still increases strictly in [-pi, pi).
+    theta still increases strictly in [-pi, pi). The result carries the
+    locus's source map and nu.
     """
     if not nu > 0:
         raise ValueError("nu must be positive")
@@ -776,7 +732,8 @@ def restrict_curve(curve: BoundaryCurve, nu: float) -> BoundaryCurve:
     values = curve.values[keep]
     inside = np.abs(values.imag) <= nu
     if inside.all():
-        return BoundaryCurve(theta, values, np.zeros(len(theta), dtype=bool))
+        return BoundaryCurve(theta, values, np.zeros(len(theta), dtype=bool),
+                             _source=curve._source, _nu=nu)
     if not inside.any():
         raise ValueError("no sample of the curve lies inside the strip")
     seam = not (inside[0] and inside[-1])
@@ -824,8 +781,8 @@ def restrict_curve(curve: BoundaryCurve, nu: float) -> BoundaryCurve:
         order = np.argsort(new_theta, kind="stable")
         new_theta, new_vals = new_theta[order], new_vals[:-1][order]
     keep = np.concatenate([[True], np.diff(new_theta) > 1e-15])
-    return BoundaryCurve(new_theta[keep], new_vals[keep],
-                         np.zeros(int(keep.sum()), dtype=bool))
+    return BoundaryCurve(new_theta[keep], new_vals[keep], np.zeros(int(keep.sum()), dtype=bool),
+                         _source=curve._source, _nu=nu)
 
 
 # ---------------------------------------------------------------------------

@@ -74,20 +74,33 @@ class TestRegions:
         assert out.read_text().count("polyline") >= 4
 
     def test_svg_phi_family_maps_each_lambda_once(self, tmp_path, monkeypatch):
-        from imexssp import cli
-        calls = []
-        mu_image = cli.mu_image
+        # every lambda of the family is mapped once, and all of them through
+        # one circle grid of the scheme's image map
+        from imexssp import stability
+        image = stability._image_map(scheme_from_id("imex-biased-k3"))
+        grids, mapped = [], []
+        on, call = stability._ImageMap.on, stability._ImageMap.__call__
 
-        def counting_mu_image(*args):
-            calls.append(args[1])
-            return mu_image(*args)
+        def counting_on(self, theta):
+            grid = on(self, theta)
+            if self is image:
+                grids.append(grid)
+            return grid
 
-        monkeypatch.setattr(cli, "mu_image", counting_mu_image)
+        def counting_call(self, lams, grid):
+            if self is image:
+                mapped.append((complex(lams), grid))
+            return call(self, lams, grid)
+
+        monkeypatch.setattr(stability._ImageMap, "on", counting_on)
+        monkeypatch.setattr(stability._ImageMap, "__call__", counting_call)
         out = tmp_path / "family.svg"
         assert main(["regions", "--scheme", "imex-biased-k3", "--phi-family",
                      "--n-theta", "256", "--n-lambda", "64", "--family-size", "4",
                      "--format", "svg", "--out", str(out)]) == 0
-        assert len(calls) == 4
+        assert len(grids) == 1
+        assert len(mapped) == len({lam for lam, _ in mapped}) == 4
+        assert all(grid is grids[0] for _, grid in mapped)
         assert out.read_text().startswith("<svg")
 
     def test_kind_override(self, tmp_path):
