@@ -4,8 +4,8 @@ Trigonometric polynomials, held as centred Laurent coefficients, and their
 unit-circle roots: the angles where a rational direction P(z)/Q(z) turns or
 meets an axis, and where a locus A/B crosses a horizontal line. From them,
 anchor_minima takes stage 1 of stability.imex_alpha_sweep. stability imports
-this module on the first sweep over a locus, so that a run that never
-sweeps one does not load it.
+this module on its first sweep, so that a run that never sweeps does not
+load it.
 """
 
 from __future__ import annotations

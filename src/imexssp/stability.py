@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._circle import (
-    _anchor_directions,
+    _anchor_directions,  # noqa: F401 (tests read it here)
     _Denominator,
     _theta_grid,
     _unit_circle_poles,  # noqa: F401 (tests read it here)
@@ -84,7 +84,8 @@ class BoundaryCurve:
     constructor knows them; measure_alpha reads them as limits of the curve.
     A locus also carries the map whose lam = 0 curve it samples, and a
     clipped locus the strip half-width nu (restrict_curve): imex_alpha_sweep
-    reads them to take its anchor minima over the whole curve in closed form.
+    requires them, to take its anchor minima over the whole curve in closed
+    form.
     """
 
     theta: np.ndarray
@@ -95,7 +96,7 @@ class BoundaryCurve:
     _nu: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
+        theta = np.asarray(finite_array(self.theta, "theta"), dtype=float)
         values = np.asarray(self.values, dtype=complex)
         is_pole = np.asarray(self.is_pole, dtype=bool)
         if not (len(theta) == len(values) == len(is_pole)):
@@ -286,25 +287,29 @@ def _image_map(s: CoefficientSet, den: str = "C") -> _ImageMap:
     return _ImageMap(polys.A, polys.C if den == "B" else polys.B, getattr(polys, den))
 
 
+def _finite_scalar(x, name: str) -> np.ndarray:
+    value = finite_array(x, name)
+    if value.ndim:
+        raise ValueError(f"{name} must be a scalar, got shape {value.shape}")
+    return value
+
+
 def mu_map(s: CoefficientSet, lam: complex, theta: float):
     """Implicit eigenvalue that places a characteristic root at e^(i theta).
 
     Returns None where the implicit polynomial C vanishes (a pole of the map).
     With lam=0 this is the implicit boundary locus pointwise. lam and theta
-    must be scalars; mu_image and imex_alpha_sweep map many at once.
+    must be scalars; mu_image maps many angles at once, imex_alpha_sweep
+    many lambdas.
     """
-    lam = finite_array(lam, "lambda")
-    theta = finite_array(theta, "theta")
-    for name, value in (("lambda", lam), ("theta", theta)):
-        if value.ndim:
-            raise ValueError(f"{name} must be a scalar, got shape {value.shape}")
+    lam, theta = _finite_scalar(lam, "lambda"), _finite_scalar(theta, "theta")
     mu, pole = _image_map(s).sample(lam, np.atleast_1d(theta.astype(float)))
     return None if pole[0] else complex(mu[0])
 
 
 def mu_image(s: CoefficientSet, lam: complex, n: int = DEFAULT_N_THETA) -> BoundaryCurve:
-    """Image of the unit circle under the implicit-eigenvalue map for fixed lambda."""
-    return _image_map(s).curve(finite_array(lam, "lambda"), n)
+    """Image of the unit circle under the implicit-eigenvalue map for one lambda."""
+    return _image_map(s).curve(_finite_scalar(lam, "lambda"), n)
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +509,11 @@ def alpha_closed_form(variant: str, k: int, beta, nu=None) -> WedgeAngle:
 
 # The sweep's coarse scan maps every _LAMBDA_STRIDE-th lambda over
 # _COARSE_THETA circle angles; its _REFINE_CELLS best local minima are refined
-# by _GOLDEN_STEPS golden-section steps. The refinement keeps _ANCHOR_HOLE away
-# from the poles and from each lambda's own curve parameter: there the minimum
-# is a limit (asymptote or zero-crossing slope) that the sweep takes in closed
-# form, and rounding noise in mu, growing towards the anchor, would decide.
+# by _GOLDEN_STEPS golden-section steps.
 _COARSE_THETA = 512
 _LAMBDA_STRIDE = 8
 _REFINE_CELLS = 8
 _GOLDEN_STEPS = 50
-_ANCHOR_HOLE = 2e-6
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -527,11 +528,10 @@ class SweepResult:
     image approaches the anchor theta (a pole, or theta_star); None when
     nothing constrains (alpha = pi/2). n_evals counts the image samples and
     limit directions ranked, closed-form candidates included. resolution is
-    the theta width to which the minimum was located: on a locus, the Newton
-    step left at the root of the best closed-form candidate (at least the
-    spacing of doubles near pi), and at least the width of the final
-    golden-section brackets where any were searched; for any other family,
-    that width.
+    the theta width to which the minimum was located: the Newton step left
+    at the root of the best closed-form candidate (at least the spacing of
+    doubles near pi), widened to the width of the final golden-section
+    brackets where any were searched.
     """
 
     alpha: float
@@ -586,40 +586,40 @@ def _golden_min(f, lo: np.ndarray, hi: np.ndarray, steps: int) -> None:
 
 def imex_alpha_sweep(s: CoefficientSet, lambda_curve: BoundaryCurve,
                      n_theta: int = DEFAULT_N_THETA) -> SweepResult:
-    """Worst-case implicit wedge angle over a family of explicit eigenvalues.
+    """Worst-case implicit wedge angle over the scheme's explicit locus.
 
-    For every lambda of the family the unit circle is mapped to the implicit
-    eigenvalue plane and the admissible wedge is measured; the infimum over
-    the family is returned with its witness. Samples are ranked by
-    |Im mu| / -Re mu, and atan is taken once, of the winner. The result is
-    as tight as mapping every lambda over the uniform n_theta grid (up to
-    rounding) without doing so:
+    lambda_curve must be explicit_boundary of a scheme with this A and B
+    and no root of B on the unit circle, clipped or not by restrict_curve;
+    any other family raises ValueError. For every lambda of the family the
+    unit circle is mapped to the implicit eigenvalue plane and the
+    admissible wedge is measured; the infimum over the family is returned
+    with its witness. Samples are ranked by |Im mu| / -Re mu, and atan is
+    taken once, of the winner. The result is as tight as mapping every
+    lambda over the uniform n_theta grid (up to rounding) without doing so:
 
-    1. the limits of the images at the anchors: the poles of the map, and
-       each lambda's own curve parameter where its image passes through zero
-       (lambda on the explicit locus); each side of an anchor gives the
-       direction of the leading Taylor term (_anchor_directions). For a
-       locus from explicit_boundary of a scheme with this A and B, clipped
-       or not (restrict_curve), these are taken at their exact infimum over
-       the continuous family (_anchors.anchor_minima), so the witness names
-       theta* exactly; for any other family, at every finite sample;
+    1. the limits of the images at the anchors (the poles of the map, and
+       each lambda's own curve parameter, where its image passes through
+       zero), in the direction of the leading Taylor term on each side
+       (_anchor_directions), at their exact infimum over the continuous
+       family (_anchors.anchor_minima), so the witness names theta* exactly;
     2. every _LAMBDA_STRIDE-th lambda is mapped over a coarse subset of the
        n_theta grid;
     3. each lambda near the best local minima of that scan is mapped over
        the coarse grid, then at the n_theta grid angles of its best coarse
        cell, and the best of those is refined by golden section between its
-       grid neighbours. On a locus, stage 1 already covers a bracket whose
-       centre lies within two grid steps of one of its lambda's anchors, so
-       only the others are searched.
+       grid neighbours. Stage 1 already covers a bracket whose centre lies
+       within two grid steps of one of its lambda's anchors, so only the
+       others are searched.
     """
     if n_theta < 16:
         raise ValueError("need at least 16 samples")
     image = _image_map(s)
-    keep = ~lambda_curve.is_pole
-    lams = lambda_curve.values[keep]
-    lam_thetas = lambda_curve.theta[keep]
-    if len(lams) == 0:
-        raise ValueError("lambda set is empty")
+    locus = lambda_curve._source
+    if locus is None or len(locus.den.pole_angles) or not (
+            np.array_equal(locus.A, image.A) and np.array_equal(locus.den.coeffs, image.P)):
+        raise ValueError("lambda_curve must be an explicit_boundary locus, clipped or not by "
+                         "restrict_curve, of a scheme with this A and B and no pole on the circle")
+    lams, lam_thetas = lambda_curve.values, lambda_curve.theta
     worst = _Worst()
 
     def ratios(at, theta):
@@ -629,40 +629,16 @@ def imex_alpha_sweep(s: CoefficientSet, lambda_curve: BoundaryCurve,
                                   "sample")
         return r
 
-    def through_zero(at):
-        """Which lambdas' images pass through zero at their own theta*."""
-        star = image.on(lam_thetas[at])
-        return star, np.abs(star.quotient(image.numerator(lams[at], star.z))) <= ORIGIN_TOLERANCE
-
-    # 1. limits at the anchors
-    index = np.arange(len(lams))
-    poles = image.den.pole_angles
-    # the family is a locus the closed form covers: A/B of this A and B, no poles
-    locus = lambda_curve._source
-    if locus is not None and not (len(locus.den.pole_angles) == 0
-                                  and np.array_equal(locus.A, image.A)
-                                  and np.array_equal(locus.den.coeffs, image.P)):
-        locus = None
-    if locus is not None:
-        # imported here: only a sweep over a locus reads the closed form
-        from ._anchors import anchor_minima
-        resolution = max(anchor_minima(image, locus, lambda_curve._nu, worst),
-                         np.spacing(np.pi))
-    else:
-        if len(poles):
-            worst.offer(lam_thetas[:, None, None], lams[:, None, None],
-                        _wrap_angle(poles)[:, None], image.pole_directions(lams[:, None]),
-                        "limit")
-        star, zero = through_zero(index)
-        slope = np.where(zero, image.crossing_terms(lams, star)[0], np.nan)
-        worst.offer(lam_thetas[:, None], lams[:, None], lam_thetas[:, None],
-                    _anchor_directions(slope, 1), "limit")
+    # 1. limits at the anchors, in closed form (imported here, so that a run
+    #    that never sweeps does not load it)
+    from ._anchors import anchor_minima
+    resolution = max(anchor_minima(image, locus, lambda_curve._nu, worst), np.spacing(np.pi))
 
     # 2. coarse scan
     dense = np.linspace(-np.pi, np.pi, n_theta, endpoint=False)
     n_coarse = min(_COARSE_THETA, n_theta)
     coarse_at = np.arange(n_coarse) * n_theta // n_coarse
-    rows = index[::_LAMBDA_STRIDE]
+    rows = np.arange(0, len(lams), _LAMBDA_STRIDE)
     scan = ratios(rows, dense[coarse_at])
 
     # 3. local minima: no larger than any of the eight neighbours (theta wraps)
@@ -680,7 +656,9 @@ def imex_alpha_sweep(s: CoefficientSet, lambda_curve: BoundaryCurve,
 
     # 4. each of those lambdas: its best coarse cell, the n_theta grid angles
     #    from the cell's left to right neighbour, and golden section between
-    #    the best grid angle's neighbours
+    #    the best grid angle's neighbours, unless the centre lies near an
+    #    anchor: a pole, or the lambda's own theta* where its image passes
+    #    through zero (a strip-segment lambda's image does not)
     r = ratios(at, dense[coarse_at])
     live = np.isfinite(r).any(axis=1)
     at, best = at[live], np.argmin(r[live], axis=1)
@@ -688,28 +666,19 @@ def imex_alpha_sweep(s: CoefficientSet, lambda_curve: BoundaryCurve,
                   % n_theta]
     centre = theta[np.arange(len(at)), np.argmin(ratios(at, theta), axis=1)]
     h = 2 * np.pi / n_theta
-    if locus is not None:
-        near = through_zero(at)[1] & (np.abs(_wrap_diff(centre, lam_thetas[at])) <= 2 * h)
-        for theta_p in poles:
-            near |= np.abs(_wrap_diff(centre, theta_p)) <= 2 * h
-        at, centre = at[~near], centre[~near]
+    zero = np.abs(image(lams[at], image.on(lam_thetas[at]))) <= ORIGIN_TOLERANCE
+    near = zero & (np.abs(_wrap_diff(centre, lam_thetas[at])) <= 2 * h)
+    for theta_p in image.den.pole_angles:
+        near |= np.abs(_wrap_diff(centre, theta_p)) <= 2 * h
+    at, centre = at[~near], centre[~near]
 
     def ratio_at(x):
         x = _wrap_angle(x)
-        mu = image(lams[at], image.on(x))
-        near = np.abs(_wrap_diff(x, lam_thetas[at])) < _ANCHOR_HOLE
-        for theta_p in poles:
-            near |= np.abs(_wrap_diff(x, theta_p)) < _ANCHOR_HOLE
-        mu[near] = np.nan
-        return worst.offer(lam_thetas[at], lams[at], x, mu, "sample")
+        return worst.offer(lam_thetas[at], lams[at], x, image(lams[at], image.on(x)), "sample")
 
-    golden = 2 * h * _INV_PHI ** _GOLDEN_STEPS
     if len(at):
         _golden_min(ratio_at, centre - h, centre + h, _GOLDEN_STEPS)
-    if locus is None:
-        resolution = golden
-    elif len(at):
-        resolution = max(resolution, golden)
+        resolution = max(resolution, 2 * h * _INV_PHI ** _GOLDEN_STEPS)
     w = WedgeAngle.from_tan(worst.ratio)
     return SweepResult(w.alpha, w.tan_alpha, *(worst.at or (None,) * 5),
                        worst.n_evals, resolution)
@@ -725,8 +694,8 @@ def restrict_curve(curve: BoundaryCurve, nu: float) -> BoundaryCurve:
     theta still increases strictly in [-pi, pi). The result carries the
     locus's source map and nu.
     """
-    if not nu > 0:
-        raise ValueError("nu must be positive")
+    if not (math.isfinite(nu) and nu > 0):
+        raise ValueError(f"nu must be finite and positive, got {nu}")
     keep = ~curve.is_pole
     theta = curve.theta[keep]
     values = curve.values[keep]

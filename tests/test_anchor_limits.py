@@ -187,11 +187,3 @@ def test_a_stable_row_has_no_witness_kind():
     assert (result.alpha, result.tan_alpha) == (math.pi / 2, math.inf)
     assert result.kind is None
 
-
-def test_off_locus_lambdas_contribute_no_zero_crossing_limit():
-    # scaled into the region, the image does not pass through zero: every
-    # witness is a sample, as no limit applies
-    s = imex_scheme("biased", 4)
-    c = explicit_boundary(ssp_explicit(4), 256)
-    curve = stability.BoundaryCurve(c.theta, 0.95 * c.values, c.is_pole)
-    assert imex_alpha_sweep(s, curve, 1024).kind == "sample"

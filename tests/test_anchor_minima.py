@@ -1,11 +1,10 @@
 """Stage 1 of the sweep: the anchor directions' exact infima over a locus.
 
-A family that carries its source map (explicit_boundary, restrict_curve)
-has its anchor limits taken in closed form over the continuous locus; a
-dense (theta*, theta) grid must never beat those rows. A family without a
-source map keeps the sampled path, pinned here bit for bit. Golden section
-runs only on brackets off the anchors, and SweepResult says which stage
-located its minimum.
+A locus carries its source map (explicit_boundary, restrict_curve), and
+the sweep takes its anchor limits in closed form over the continuous
+locus; a dense (theta*, theta) grid must never beat those rows. Golden section runs
+only on brackets off the anchors, and SweepResult says which stage located
+its minimum.
 """
 
 import json
@@ -17,7 +16,7 @@ import pytest
 from imexssp import stability
 from imexssp import verify as verify_module
 from imexssp.cli import main
-from imexssp.schemes import imex_scheme, mcnab, scheme_from_id, ssp_explicit
+from imexssp.schemes import mcnab, ssp_explicit
 from imexssp.stability import (
     ORIGIN_TOLERANCE,
     BoundaryCurve,
@@ -106,61 +105,8 @@ def test_every_row_is_a_closed_form_limit(rows):
 
 
 # ---------------------------------------------------------------------------
-# A family without a source map keeps the sampled path
+# The source map that the sweep requires
 # ---------------------------------------------------------------------------
-
-def seeded_family(sid, seed):
-    """The scheme's explicit locus at 128 samples without its source map:
-    as it is (seed None) or scaled into the region by a seeded smooth factor."""
-    s = scheme_from_id(sid)
-    c = explicit_boundary(s, 128)
-    if seed is None:
-        return s, BoundaryCurve(c.theta, c.values, c.is_pole)
-    rng = np.random.default_rng(seed)
-    a, b, phase = rng.uniform([0.85, 0.0, -np.pi], [0.95, 0.03, np.pi])
-    scale = a + b * np.cos(c.theta + phase)
-    return s, BoundaryCurve(c.theta, c.values * scale, c.is_pole)
-
-
-# imex_alpha_sweep(s, family, 512) before the closed form existed: alpha,
-# tan_alpha, theta_star, lam, theta, mu, kind, n_evals, resolution
-RECORDED = {
-    ("imex-biased-k4", None): (
-        0.7276032056016949, 0.8906104266198217, -2.724349879284899,
-        (-1.3261838384110738+0.3830583338864955j), -2.724349879284899,
-        (-0.746770609848003+0.6650816914238744j), "limit", 82264, 8.720831404007896e-13),
-    ("imex-biased-k4", 1): (
-        1.2715799133035701, 3.24172341352987, 2.086213871524472,
-        (-1.0405762859497238-0.6045788518114821j), 1.5634674410082772,
-        (-0.15411885439935546+0.4996106987727916j), "sample", 73996, 8.720831404007896e-13),
-    ("imex-centred-k3", 2): (
-        0.08642946430058777, 0.08664532017825817, -1.1780972450961724,
-        (-0.11209132168179033+0.6474970817302368j), -1.5707963267948966,
-        (-0.9962672983415438+0.08632189904793132j), "limit", 63734, 8.720831404007896e-13),
-    ("imex-centred-k4", 3): (
-        0.21415920849074488, 0.21749448767258425, -1.030835089459151,
-        (-0.1707876019923013+0.5588157035477553j), -1.5707963267948966,
-        (-0.9771554295648465+0.21252591952969027j), "limit", 66570, 8.720831404007896e-13),
-    ("imex-bdf2", 4): (
-        1.333418686098836, 4.133271960601172, -0.9326603190344698,
-        (-0.1755818125634991+0.6364133288317912j), -1.1721573923309774,
-        (-0.08437472157751036+0.34874367087985425j), "sample", 63752, 8.720831404007896e-13),
-    ("mcnab", 5): (
-        0.8763407809136943, 1.200690096121523, -1.3989904785517049,
-        (-0.28702175295697624+0.7525705235158354j), -1.8010261853847724,
-        (-0.4879094468455769+0.5858280406316149j), "sample", 58327, 8.720831404007896e-13),
-    ("mcnab", None): (
-        0.43584221019140595, 0.465711122289196, 1.7671458676442588,
-        (-0.5114311862248299-0.7709249166517002j), 1.7671458676442588,
-        (-0.9065148045768929-0.422174027011276j), "limit", 63760, 8.720831404007896e-13),
-}
-
-
-@pytest.mark.parametrize("sid,seed", sorted(RECORDED, key=str))
-def test_a_family_without_source_map_is_swept_as_before(sid, seed):
-    result = imex_alpha_sweep(*seeded_family(sid, seed), 512)
-    assert tuple(result.__dict__.values()) == RECORDED[sid, seed]
-
 
 def test_restrict_curve_passes_the_source_on():
     curve = explicit_boundary(ssp_explicit(3), 256)
@@ -193,12 +139,6 @@ def test_golden_section_runs_only_where_a_bracket_is_off_the_anchors(monkeypatch
     # 18 of imex-biased-k4's 78 brackets lie off its anchors; every bracket
     # of the other rows lies within two grid steps of one
     assert searched == [("imex-biased-k4", 18)]
-    # the same locus without its source map searches all 78, as before
-    current.clear()
-    searched.clear()
-    c = explicit_boundary(ssp_explicit(4), 1024)
-    imex_alpha_sweep(imex_scheme("biased", 4), BoundaryCurve(c.theta, c.values, c.is_pole), 4096)
-    assert searched == [(None, 78)]
 
 
 def test_angles_json_says_which_stage_located_each_row(tmp_path):

@@ -331,10 +331,15 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="16"):
             imex_alpha_sweep(s, explicit_boundary(s, 64), 15)
 
-    def test_sweep_empty_lambda_set(self):
-        curve = BoundaryCurve([0.0, 0.5, 1.0], [0j, 0j, 0j], [True, True, True])
-        with pytest.raises(ValueError, match="empty"):
-            imex_alpha_sweep(imex_scheme("biased", 3), curve)
+    def test_sweep_rejects_a_family_that_is_not_the_schemes_locus(self):
+        c = explicit_boundary(mcnab(), 64)
+        for family in (
+                BoundaryCurve([0.0, 0.5, 1.0], [-0.5, -0.4 + 0.1j, -0.3j], [False] * 3),
+                BoundaryCurve(c.theta, c.values, c.is_pole),  # stripped of its source
+                explicit_boundary(ssp_explicit(3), 64)):  # another scheme's A
+            with pytest.raises(ValueError, match="explicit_boundary locus"):
+                imex_alpha_sweep(mcnab(), family)
+        assert imex_alpha_sweep(mcnab(), c, 64).n_evals > 0
 
     def test_measure_alpha_plain_curve(self):
         # a manually built curve without pole metadata still measures
@@ -363,8 +368,9 @@ class TestRestrictCurve:
         assert on_edge.sum() >= 8
 
     def test_nu_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            restrict_curve(explicit_boundary(ssp_explicit(3), 64), 0.0)
+        for nu in (0.0, math.inf):
+            with pytest.raises(ValueError, match="nu must be finite and positive"):
+                restrict_curve(explicit_boundary(ssp_explicit(3), 64), nu)
 
     @pytest.mark.parametrize("k,nu", [(3, 1e-6), (4, 1e-3), (3, 1 / 3)])
     def test_excursion_across_the_seam(self, k, nu):

@@ -106,6 +106,7 @@ def test_pruned_fields(module, name):
     ("stability", "curve_to_csv"),
     ("stability", "_unit_circle_pole_angles"),
     ("cli", "_phi_family_csv"),
+    ("stability", "_ANCHOR_HOLE"),
 ])
 def test_deleted_name_stays_deleted(owner, name):
     module, _, attr = owner.partition(".")

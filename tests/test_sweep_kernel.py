@@ -260,19 +260,35 @@ def test_sweep_result_parity_with_wedge_angle(table):
     assert (biased_k3.alpha, biased_k3.tan_alpha) == (math.pi / 2, math.inf)
 
 
-@pytest.mark.parametrize("sid,scale", [("imex-biased-k4", 0.95), ("imex-centred-k3", 0.95),
-                                       ("imex-bdf2", 0.7)])
-def test_interior_minimum_is_refined_below_the_grid(sid, scale, monkeypatch):
-    # lambdas strictly inside the region: the image does not pass through
-    # zero, the minimum is an interior one, and the refine goes below the grid
-    s = scheme_from_id(sid)
-    c = explicit_boundary(s, 256)
-    curve = BoundaryCurve(c.theta, scale * np.where(c.is_pole, 0.0, c.values), c.is_pole)
-    refined = imex_alpha_sweep(s, curve, 1024).alpha
-    assert refined < old_dense_sweep(s, curve, 1024) - 1e-9
+def test_golden_section_ends_below_the_best_grid_sample(monkeypatch):
+    # imex-biased-k4's locus has 18 brackets off its anchors, each around an
+    # interior minimum, which golden section takes below the grid; a finer
+    # coarse scan finds the same least interior minimum
+    golden, found = stability._golden_min, []
+
+    def tracking(f, lo, hi, steps):
+        grid = f((lo + hi) / 2)  # the bracket's centre: its best grid sample
+        least = np.full(len(lo), np.inf)
+
+        def recording(x):
+            nonlocal least
+            r = f(x)
+            least = np.minimum(least, r)
+            return r
+
+        golden(recording, lo, hi, steps)
+        found.append((grid, least))
+
+    monkeypatch.setattr(stability, "_golden_min", tracking)
+    s = scheme_from_id("imex-biased-k4")
+    imex_alpha_sweep(s, explicit_boundary(s, 1024), 4096)
+    [(grid, least)] = found
+    assert len(grid) == 18
+    assert (least < grid).all()
     monkeypatch.setattr(stability, "_COARSE_THETA", 2 * stability._COARSE_THETA)
     monkeypatch.setattr(stability, "_LAMBDA_STRIDE", stability._LAMBDA_STRIDE // 2)
-    assert abs(imex_alpha_sweep(s, curve, 1024).alpha - refined) < 1e-10
+    imex_alpha_sweep(s, explicit_boundary(s, 1024), 4096)
+    assert abs(found[-1][1].min() - least.min()) < 1e-12
 
 
 def test_sweep_maps_far_fewer_samples_than_the_grid():
@@ -286,16 +302,17 @@ def test_sweep_maps_far_fewer_samples_than_the_grid():
 # Input and option rejection
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf), [-0.1, -0.2]])
 def test_non_finite_lambda_rejected(bad):
     s = scheme_from_id("imex-biased-k3")
-    with pytest.raises(ValueError, match="lambda must be finite"):
+    rule = "lambda must be finite" if np.ndim(bad) == 0 else "lambda must be a scalar"
+    with pytest.raises(ValueError, match=rule):
         mu_image(s, bad, 64)
-    with pytest.raises(ValueError, match="lambda must be finite"):
+    with pytest.raises(ValueError, match=rule):
         mu_map(s, bad, 0.5)
 
 
-@pytest.mark.parametrize("bad", [math.nan, -math.inf, [0.0, math.nan]])
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, [0.0, math.nan], [0.0, math.nan, 1.0]])
 def test_non_finite_theta_rejected(bad):
     s = scheme_from_id("imex-biased-k3")
     with pytest.raises(ValueError, match="theta must be finite"):
@@ -303,6 +320,9 @@ def test_non_finite_theta_rejected(bad):
     if np.ndim(bad) == 0:
         with pytest.raises(ValueError, match="theta must be finite"):
             mu_map(s, -0.5, bad)
+    else:
+        with pytest.raises(ValueError, match="theta must be finite"):
+            BoundaryCurve(bad, np.zeros(len(bad)), np.zeros(len(bad), dtype=bool))
 
 
 @pytest.mark.parametrize("lam,theta,name", [
