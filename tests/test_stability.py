@@ -10,6 +10,7 @@ from imexssp import stability
 from imexssp.cli import _curves_csv
 from imexssp.schemes import (
     REGISTRY_IDS,
+    CoefficientSet,
     char_polys,
     imex_bdf2,
     imex_scheme,
@@ -294,6 +295,14 @@ class TestSymmetries:
             assert measure_alpha(scaled).alpha == pytest.approx(base, abs=1e-12)
 
 
+def _without_source(curve):
+    return BoundaryCurve(curve.theta, curve.values, curve.is_pole)
+
+
+def _with_b(s, b):
+    return CoefficientSet(s.k, s.a, b, s.c)
+
+
 class TestEdgeCases:
     def test_implicit_biased_k4_at_pi(self):
         curve = implicit_boundary(implicit_biased(4), 64)
@@ -331,15 +340,29 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="16"):
             imex_alpha_sweep(s, explicit_boundary(s, 64), 15)
 
-    def test_sweep_rejects_a_family_that_is_not_the_schemes_locus(self):
-        c = explicit_boundary(mcnab(), 64)
-        for family in (
-                BoundaryCurve([0.0, 0.5, 1.0], [-0.5, -0.4 + 0.1j, -0.3j], [False] * 3),
-                BoundaryCurve(c.theta, c.values, c.is_pole),  # stripped of its source
-                explicit_boundary(ssp_explicit(3), 64)):  # another scheme's A
-            with pytest.raises(ValueError, match="explicit_boundary locus"):
-                imex_alpha_sweep(mcnab(), family)
-        assert imex_alpha_sweep(mcnab(), c, 64).n_evals > 0
+    @pytest.mark.parametrize("family", [
+        pytest.param(lambda: BoundaryCurve([0.0, 0.5, 1.0], [-0.5, -0.4 + 0.1j, -0.3j],
+                                           [False] * 3), id="hand-built"),
+        pytest.param(lambda: _without_source(explicit_boundary(mcnab(), 64)),
+                     id="stripped-of-its-source"),
+        pytest.param(lambda: explicit_boundary(ssp_explicit(3), 64), id="another-schemes-A"),
+        pytest.param(lambda: explicit_boundary(_with_b(mcnab(), (0, 2, -1)), 64),
+                     id="another-B-with-the-same-A"),
+    ])
+    def test_sweep_rejects_a_family_that_is_not_the_schemes_locus(self, family):
+        with pytest.raises(ValueError, match="explicit_boundary locus"):
+            imex_alpha_sweep(mcnab(), family())
+
+    def test_sweep_rejects_a_locus_with_a_pole_on_the_circle(self):
+        # B(z) = z + 1 vanishes at z = -1: the scheme's own locus has a pole
+        s = _with_b(mcnab(), (0, 1, 1))
+        curve = explicit_boundary(s, 64)
+        assert curve.is_pole.any()
+        with pytest.raises(ValueError, match="no pole on the circle"):
+            imex_alpha_sweep(s, curve)
+
+    def test_sweep_accepts_the_schemes_own_locus(self):
+        assert imex_alpha_sweep(mcnab(), explicit_boundary(mcnab(), 64), 64).n_evals > 0
 
     def test_measure_alpha_plain_curve(self):
         # a manually built curve without pole metadata still measures
@@ -367,10 +390,10 @@ class TestRestrictCurve:
         on_edge = np.isclose(clipped.values.imag, 1 / 3)
         assert on_edge.sum() >= 8
 
-    def test_nu_positive(self):
-        for nu in (0.0, math.inf):
-            with pytest.raises(ValueError, match="nu must be finite and positive"):
-                restrict_curve(explicit_boundary(ssp_explicit(3), 64), nu)
+    @pytest.mark.parametrize("nu", [0.0, -1.0, math.nan, math.inf])
+    def test_nu_positive(self, nu):
+        with pytest.raises(ValueError, match="nu must be finite and positive"):
+            restrict_curve(explicit_boundary(ssp_explicit(3), 64), nu)
 
     @pytest.mark.parametrize("k,nu", [(3, 1e-6), (4, 1e-3), (3, 1 / 3)])
     def test_excursion_across_the_seam(self, k, nu):
