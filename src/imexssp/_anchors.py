@@ -136,8 +136,8 @@ def anchor_minima(image, locus, nu, worst) -> float:
     offer(star[..., None], lam[:, None, None], _wrap_angle(den.pole_angles)[:, None],
           image.pole_directions(lam[:, None]), steps[..., None])
     on = on_arcs(den.pole_angles)
-    z_p, star = den.pole_z[on, None], _wrap_angle(den.pole_angles[on])[:, None]
-    offer(star, lam_of(den.pole_angles[on])[:, None], star, _anchor_directions(
+    z_p, star = den.pole_z[on, None], _wrap_angle(den.pole_angles[on])[:, None, None]
+    offer(star, lam_of(den.pole_angles[on])[:, None, None], star, _anchor_directions(
         1j * z_p * polyval(W, z_p) / (polyval(B, z_p) * den.pole_lead[on, None]), 1), 0.0)
     if segments is not None:
         a, b, x_a, x_b, edge = (x[:, None] for x in segments)

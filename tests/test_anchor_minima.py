@@ -16,7 +16,7 @@ import pytest
 from imexssp import stability
 from imexssp import verify as verify_module
 from imexssp.cli import main
-from imexssp.schemes import mcnab, ssp_explicit
+from imexssp.schemes import imex_scheme, mcnab, ssp_explicit
 from imexssp.stability import (
     ORIGIN_TOLERANCE,
     BoundaryCurve,
@@ -87,6 +87,20 @@ def test_a_dense_grid_never_beats_a_row(rows):
         assert got >= result.alpha - 1e-12, (s.name, got, result.alpha)
         # and it comes close: the grid samples near every row's infimum
         assert got <= result.alpha + 0.02, (s.name, got, result.alpha)
+
+
+@pytest.mark.parametrize("nu", [None, 0.9])
+@pytest.mark.parametrize("beta", [0.0, 0.1])
+def test_both_poles_on_the_family(beta, nu):
+    # imex-centred-k4's C has roots at theta = +/-pi/2, both on its explicit
+    # locus, so the limit at each pole on the family is offered at once
+    s = imex_scheme("centred", 4, beta)
+    curve = explicit_boundary(s, 1024)
+    if nu is not None:
+        curve = stability.restrict_curve(curve, nu)
+    result = imex_alpha_sweep(s, curve)
+    got = dense_alpha(s, dense_family(s, nu, 512), 1024)
+    assert result.alpha - 1e-12 <= got <= result.alpha + 0.02, (got, result.alpha)
 
 
 def test_rows_do_not_depend_on_the_lambda_sampling(rows):
