@@ -3,9 +3,9 @@
 Trigonometric polynomials, held as centred Laurent coefficients, and their
 unit-circle roots: the angles where a rational direction P(z)/Q(z) turns or
 meets an axis, and where a locus A/B crosses a horizontal line. From them,
-anchor_minima takes stage 1 of stability.imex_alpha_sweep. stability imports
-this module on its first sweep, so that a run that never sweeps does not
-load it.
+anchor_minima takes stage 1 of stability.imex_alpha_sweep and _strip_parts
+clips a locus to a strip. stability imports this module on its first sweep
+or clip, so that a run that does neither does not load it.
 """
 
 from __future__ import annotations
@@ -58,17 +58,18 @@ def _turns(P, Q):
     return map(np.concatenate, zip(_circle_roots(turn), _circle_roots(sq - _bar(sq))))
 
 
-def _strip_parts(lam_of, A, B, nu):
-    """The locus lam_of = A/B clipped to |Im| <= nu as restrict_curve clips
-    it, in closed form: the theta arcs (a, b) inside the strip, and the
-    segments (a, b, x_a, x_b, edge) that replace the excursions, running
-    from Re lam(a) to Re lam(b) along Im = edge; their ends are the roots of
+def _strip_parts(locus, nu):
+    """The clip of the locus lam = A/B, the lam = 0 curve of the _ImageMap
+    locus, to |Im| <= nu in closed form, for stability.restrict_curve and
+    the sweep: the theta arcs (a, b) inside the strip, and the segments
+    (a, b, x_a, x_b, edge) that replace the excursions, running from
+    Re lam(a) to Re lam(b) along Im = edge; their ends are the roots of
     Im(A conj B) -/+ nu |B|^2. One whole turn when nu is None or nothing is
     clipped. Also the largest Newton step at the ends."""
     whole = (np.array([-np.pi]), np.array([np.pi])), None, 0.0
     if nu is None:
         return whole
-    ca, cb = _centred(A), _centred(B)
+    ca, cb = _centred(locus.A), _centred(locus.den.coeffs)
     ab, bb = np.convolve(ca, _bar(cb)), np.convolve(cb, _bar(cb))
     ends, steps = map(np.concatenate, zip(*(_circle_roots((ab - _bar(ab)) / 2j - e * bb, 1e-6)
                                             for e in (nu, -nu))))
@@ -76,7 +77,7 @@ def _strip_parts(lam_of, A, B, nu):
         return whole
     a = np.sort(ends)
     b = np.append(a[1:], a[0] + 2 * np.pi)
-    lam_a, lam_b, lam_mid = lam_of(a), lam_of(b), lam_of((a + b) / 2)
+    lam_a, lam_b, lam_mid = (locus(0.0, locus.on(x)) for x in (a, b, (a + b) / 2))
     out = np.abs(lam_mid.imag) > nu
     return ((a[~out], b[~out]),
             (a[out], b[out], lam_a.real[out], lam_b.real[out], np.sign(lam_mid.imag[out]) * nu),
@@ -118,7 +119,7 @@ def anchor_minima(image, locus, nu, worst) -> float:
 
     Pn = np.polynomial.polynomial
     A, B, den = image.A, image.P, image.den
-    (lo, hi), segments, end_step = _strip_parts(lam_of, A, B, nu)
+    (lo, hi), segments, end_step = _strip_parts(locus, nu)
     W = Pn.polysub(Pn.polymul(image.dA, B), Pn.polymul(A, image.dP))
     roots, steps = map(np.concatenate, zip(
         _turns(Pn.polymulx(W), Pn.polymul(B, den.coeffs)),

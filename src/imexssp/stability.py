@@ -9,8 +9,8 @@ winding-number count, wedge-angle measurement with closed-form counterparts,
 and the sweep that finds the worst-case implicit wedge over a family of
 explicit eigenvalues, with the sample that attains it. The polynomial work
 on the unit circle (circle roots, pole-anchored Taylor forms, the limit
-kernel) lives in _circle, and the sweep's closed-form anchor minima in
-_anchors.
+kernel) lives in _circle, and the sweep's closed-form anchor minima and the
+strip crossings in _anchors.
 
 All stability statements use the transformed variable z = 1/zeta: a (lambda,
 mu) pair is stable when every root of A(z) - lambda*B(z) - mu*C(z) lies on or
@@ -685,73 +685,48 @@ def imex_alpha_sweep(s: CoefficientSet, lambda_curve: BoundaryCurve,
 
 
 def restrict_curve(curve: BoundaryCurve, nu: float) -> BoundaryCurve:
-    """Clip an explicit boundary locus against the strip |Im| <= nu.
+    """Clip a locus against the strip |Im| <= nu.
 
-    Excursions beyond the strip are replaced by straight segments along
-    Im = +/-nu between the interpolated crossing points, so the result is the
-    closed boundary of the restricted stability region. The curve is closed:
-    an excursion may run across the seam theta = +/-pi, and the result's
-    theta still increases strictly in [-pi, pi). The result carries the
-    locus's source map and nu.
+    curve must be explicit_boundary or implicit_boundary of a scheme whose
+    denominator has no root on the unit circle; any other curve, one built
+    from samples included, raises ValueError. The crossings with the strip's
+    edges are found in closed form (_anchors._strip_parts). The result keeps
+    the curve's samples inside the strip, takes the locus points at the
+    crossings as corners, and joins the two corners of each excursion by a
+    straight segment along Im = +/-nu, with as many points as the excursion
+    had samples plus its corners, and at least 8. It carries the locus's
+    source map and nu.
     """
     if not (math.isfinite(nu) and nu > 0):
         raise ValueError(f"nu must be finite and positive, got {nu}")
-    keep = ~curve.is_pole
-    theta = curve.theta[keep]
-    values = curve.values[keep]
-    inside = np.abs(values.imag) <= nu
-    if inside.all():
-        return BoundaryCurve(theta, values, np.zeros(len(theta), dtype=bool),
-                             _source=curve._source, _nu=nu)
-    if not inside.any():
-        raise ValueError("no sample of the curve lies inside the strip")
-    seam = not (inside[0] and inside[-1])
-    if seam:
-        # open the closed curve at its first inside sample instead, and close
-        # it with that sample one turn later (dropped again below)
-        start = int(np.argmax(inside))
-        theta = np.concatenate([theta[start:], theta[:start + 1] + 2 * np.pi])
-        values = np.concatenate([values[start:], values[:start + 1]])
-        inside = np.concatenate([inside[start:], inside[:start + 1]])
+    locus = curve._source
+    if locus is None or len(locus.den.pole_angles):
+        raise ValueError("curve must be an explicit_boundary or implicit_boundary locus "
+                         "with no pole on the circle")
+    from ._anchors import _strip_parts
+    (lo, hi), segments, _ = _strip_parts(locus, nu)
+    if segments is None:
+        return BoundaryCurve(curve.theta, curve.values, curve.is_pole, _source=locus, _nu=nu)
 
-    def crossing(i, j, edge):
-        t = (edge - values[i].imag) / (values[j].imag - values[i].imag)
-        th = theta[i] + t * (theta[j] - theta[i])
-        return th, values[i].real + t * (values[j].real - values[i].real)
+    def samples_in(a, b):
+        """Which samples lie strictly inside each arc (a, b): a column per arc."""
+        d = (curve.theta[:, None] - a) % (2 * np.pi)
+        return (d > 0) & (d < b - a)
 
-    new_theta = [theta[0]]
-    new_vals = [values[0]]
-    i = 1
-    n = len(theta)
-    while i < n:
-        if inside[i]:
-            new_theta.append(theta[i])
-            new_vals.append(values[i])
-            i += 1
-            continue
-        j = i
-        while j < n and not inside[j]:
-            j += 1
-        edge = nu if values[i].imag > 0 else -nu
-        th_in, x_in = crossing(i - 1, i, edge)
-        th_out, x_out = crossing(j, j - 1, edge)
-        m = max(j - i + 2, 8)
-        seg_theta = np.linspace(th_in, th_out, m)
-        seg_x = np.linspace(x_in, x_out, m)
-        for th, x in zip(seg_theta, seg_x):
-            new_theta.append(th)
-            new_vals.append(complex(x, edge))
-        i = j
-    new_theta = np.asarray(new_theta)
-    new_vals = np.asarray(new_vals)
-    if seam:
-        new_theta = new_theta[:-1]
-        new_theta = np.where(new_theta >= np.pi, new_theta - 2 * np.pi, new_theta)
-        order = np.argsort(new_theta, kind="stable")
-        new_theta, new_vals = new_theta[order], new_vals[:-1][order]
-    keep = np.concatenate([[True], np.diff(new_theta) > 1e-15])
-    return BoundaryCurve(new_theta[keep], new_vals[keep], np.zeros(int(keep.sum()), dtype=bool),
-                         _source=curve._source, _nu=nu)
+    a, b, x_a, x_b, edge = segments
+    kept = samples_in(lo, hi).any(axis=1)
+    # every crossing starts one arc or one excursion: these are the corners
+    new_theta = [np.concatenate([lo, a])]
+    new_values = [locus(0.0, locus.on(new_theta[0]))]
+    for i, n in enumerate(samples_in(a, b).sum(axis=0)):
+        m = max(n + 2, 8)
+        new_theta.append(np.linspace(a[i], b[i], m)[1:-1])
+        new_values.append(np.linspace(x_a[i], x_b[i], m)[1:-1] + 1j * edge[i])
+    theta = np.concatenate([curve.theta[kept], _wrap_angle(np.concatenate(new_theta))])
+    values = np.concatenate([curve.values[kept], *new_values])
+    order = np.argsort(theta)
+    return BoundaryCurve(theta[order], values[order], np.zeros(len(theta), dtype=bool),
+                         _source=locus, _nu=nu)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imexssp import stability
 from imexssp.cli import _curves_csv
 from imexssp.schemes import (
     REGISTRY_IDS,
@@ -395,30 +394,25 @@ class TestRestrictCurve:
         with pytest.raises(ValueError, match="nu must be finite and positive"):
             restrict_curve(explicit_boundary(ssp_explicit(3), 64), nu)
 
-    @pytest.mark.parametrize("k,nu", [(3, 1e-6), (4, 1e-3), (3, 1 / 3)])
-    def test_excursion_across_the_seam(self, k, nu):
-        # the same closed locus, its seam theta = +/-pi moved into the middle
-        # of an excursion, clips to the same points
-        curve = explicit_boundary(ssp_explicit(k), 256)
-        outside = np.flatnonzero(np.abs(curve.values.imag) > nu)
-        shift = np.pi - curve.theta[outside[len(outside) // 2]] - 1e-3
-        moved = stability._wrap_angle(curve.theta + shift)
-        order = np.argsort(moved)
-        rotated = BoundaryCurve(moved[order], curve.values[order], curve.is_pole[order])
-        assert not (np.abs(rotated.values[[0, -1]].imag) <= nu).all()
-        clipped = restrict_curve(rotated, nu)
-        assert np.all(np.diff(clipped.theta) > 0)
-        assert -np.pi <= clipped.theta[0] and clipped.theta[-1] < np.pi
-        assert np.max(np.abs(clipped.values.imag)) <= nu * (1 + 1e-12)
-        if (np.abs(curve.values[[0, -1]].imag) <= nu).all():
-            want = restrict_curve(curve, nu)
-            back = np.argsort(stability._wrap_angle(clipped.theta - shift))
-            np.testing.assert_allclose(clipped.values[back], want.values, rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_corners_are_the_exact_crossings(self, k):
+        s, nu = ssp_explicit(k), 1 / 3
+        clipped = restrict_curve(explicit_boundary(s, 2048), nu)
+        # the points on the edge, to 1e-15, run from corner to corner
+        on_edge = np.abs(np.abs(clipped.values.imag) - nu) <= 1e-15
+        step = np.diff(on_edge.astype(int))
+        corners = np.concatenate([np.flatnonzero(step == 1) + 1, np.flatnonzero(step == -1)])
+        assert len(corners) == 4
+        lam = clipped.values[corners]
+        assert np.all(np.abs(lam - lambda_at(s, clipped.theta[corners])) <= 1e-14 * np.abs(lam))
 
-    def test_curve_entirely_outside_rejected(self):
-        theta = np.linspace(-np.pi, np.pi, 16, endpoint=False)
-        curve = BoundaryCurve(theta, np.exp(1j * theta) + 2j, np.zeros(16, dtype=bool))
-        with pytest.raises(ValueError, match="inside the strip"):
+    @pytest.mark.parametrize("curve", [
+        BoundaryCurve(np.linspace(-np.pi, np.pi, 16, endpoint=False),
+                      np.linspace(-1, 1, 16) + 0.1j, np.zeros(16, dtype=bool)),
+        implicit_boundary(implicit_centred(3, 0), 256),
+    ], ids=["hand-built", "pole-on-the-circle"])
+    def test_curve_without_a_pole_free_source_rejected(self, curve):
+        with pytest.raises(ValueError, match="locus with no pole on the circle"):
             restrict_curve(curve, 0.5)
 
 

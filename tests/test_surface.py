@@ -56,6 +56,7 @@ SIGNATURES = {
     ("stability", "_ImageMap.sample"): [("self", REQUIRED), ("lam", REQUIRED),
                                         ("theta", REQUIRED)],
     ("stability", "_ImageMap.curve"): [("self", REQUIRED), ("lam", REQUIRED), ("n", REQUIRED)],
+    ("stability", "restrict_curve"): [("curve", REQUIRED), ("nu", REQUIRED)],
     ("verify", "check_zero_slope_expansion"): [("scale", 1.0)],
     ("verify", "check_tvd_ssp"): [("scale", 1.0)],
     ("verify", "check_root_vs_empirical"): [("scale", 1.0)],
