@@ -23,7 +23,6 @@ from .stability import (
     StabilityVerdict,
     explicit_boundary,
     implicit_boundary,
-    mu_map,
     mu_image,
     root_condition,
     measure_alpha,

@@ -85,9 +85,6 @@ class ZeroOperator:
     def solve_shifted(self, alpha, beta, rhs):
         return rhs / alpha
 
-    def __bool__(self):
-        return False
-
 
 class ScalarOperator:
     """Multiplication by a (possibly complex) scalar, or elementwise by an
@@ -118,9 +115,6 @@ class ScalarOperator:
                 raise StepFailureError("singular implicit system: a_0 - dt c_0 mu ~ 0")
             self._den = (key, den)
         return rhs / self._den[1]
-
-    def __bool__(self):
-        return bool(np.any(self.coef != 0))
 
 
 class CirculantOperator:
@@ -202,9 +196,6 @@ class CirculantOperator:
     def solve_shifted(self, alpha, beta, rhs):
         x = np.fft.ifft(self.modes.solve_shifted(alpha, beta, np.fft.fft(rhs)))
         return x if np.iscomplexobj(rhs) else x.real
-
-    def __bool__(self):
-        return any(w != 0.0 for w in self.weights)
 
 
 def _tap_window(offsets, weights):

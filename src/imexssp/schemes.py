@@ -236,7 +236,8 @@ def mcnab(c_param=Fraction(1, 8)) -> CoefficientSet:
 
 
 def imex_bdf2() -> CoefficientSet:
-    """Extrapolated two-step BDF scheme: 3y_{n+1} - 4y_n + y_{n-1} = 2dt(2f_n - f_{n-1} + g_{n+1})."""
+    """Extrapolated two-step BDF scheme:
+    3y_{n+1} - 4y_n + y_{n-1} = 2dt(2f_n - f_{n-1} + g_{n+1})."""
     a = (Fraction(3, 2), -2, Fraction(1, 2))
     b = (0, 2, -1)
     c = (1, 0, 0)

@@ -9,8 +9,8 @@ winding-number count, wedge-angle measurement with closed-form counterparts,
 and the sweep that finds the worst-case implicit wedge over a family of
 explicit eigenvalues, with the sample that attains it. The polynomial work
 on the unit circle (circle roots, pole-anchored Taylor forms, the limit
-kernel) lives in _circle, and the sweep's closed-form anchor minima and the
-strip crossings in _anchors.
+kernel, the sweep's closed-form anchor minima and the strip crossings)
+lives in _circle.
 
 All stability statements use the transformed variable z = 1/zeta: a (lambda,
 mu) pair is stable when every root of A(z) - lambda*B(z) - mu*C(z) lies on or
@@ -28,10 +28,12 @@ import numpy as np
 from ._circle import (
     _anchor_directions,  # noqa: F401 (tests read it here)
     _Denominator,
+    _strip_parts,
     _theta_grid,
     _unit_circle_poles,  # noqa: F401 (tests read it here)
     _wrap_angle,
     _wrap_diff,
+    anchor_minima,
 )
 from .schemes import CoefficientSet, char_polys, finite_array, polyval
 
@@ -49,7 +51,6 @@ __all__ = [
     "explicit_boundary",
     "implicit_boundary",
     "lambda_at",
-    "mu_map",
     "mu_image",
     "root_verdicts",
     "root_condition",
@@ -125,12 +126,6 @@ class WedgeAngle:
     tan_alpha: float
 
     @classmethod
-    def from_alpha(cls, alpha: float) -> "WedgeAngle":
-        if alpha >= math.pi / 2 - 1e-15:
-            return cls(math.pi / 2, math.inf)
-        return cls(alpha, math.tan(alpha))
-
-    @classmethod
     def from_tan(cls, t: float) -> "WedgeAngle":
         if math.isinf(t):
             return cls(math.pi / 2, math.inf)
@@ -189,7 +184,7 @@ class _ImageMap:
     explicit locus A/B. Built once per scheme and denominator (_image_map):
     the polynomials, and Q as a _Denominator with its circle poles and their
     Taylor coefficients. Every quotient on the circle in this module goes
-    through __call__ (the loci, mu_map, mu_image, min_image_real_part,
+    through __call__ (the loci, mu_image, min_image_real_part,
     imex_alpha_sweep), so the numerator is always evaluated the same way: by
     Horner's rule on the coefficients of A - lam P, exactly as
     numpy.polynomial.polynomial.polyval does.
@@ -234,16 +229,10 @@ class _ImageMap:
         scale = np.abs(self.A).sum() + np.abs(lams) * np.abs(self.P).sum()
         return self.den.asymptotes(np.where(np.abs(num) <= _ROUNDING * scale, np.nan, num))
 
-    def curve(self, lam, n: int) -> BoundaryCurve:
-        """The image of the circle for one lam, unrefined: n >= 16 uniform
-        angles plus the zoom samples around the poles, and the asymptotes."""
-        if n < 16:
-            raise ValueError("need at least 16 samples")
-        theta = _theta_grid(n, self.den.pole_angles)
-        return BoundaryCurve(theta, *self.sample(lam, theta), self.pole_directions(lam))
-
     def family(self, lams, n: int) -> list:
-        """curve for each of lams, every image read off one circle grid."""
+        """The image of the circle for each of lams, unrefined, every image
+        read off one circle grid: n >= 16 uniform angles plus the zoom
+        samples around the poles, and the asymptotes."""
         if n < 16:
             raise ValueError("need at least 16 samples")
         grid = self.on(_theta_grid(n, self.den.pole_angles))
@@ -294,22 +283,10 @@ def _finite_scalar(x, name: str) -> np.ndarray:
     return value
 
 
-def mu_map(s: CoefficientSet, lam: complex, theta: float):
-    """Implicit eigenvalue that places a characteristic root at e^(i theta).
-
-    Returns None where the implicit polynomial C vanishes (a pole of the map).
-    With lam=0 this is the implicit boundary locus pointwise. lam and theta
-    must be scalars; mu_image maps many angles at once, imex_alpha_sweep
-    many lambdas.
-    """
-    lam, theta = _finite_scalar(lam, "lambda"), _finite_scalar(theta, "theta")
-    mu, pole = _image_map(s).sample(lam, np.atleast_1d(theta.astype(float)))
-    return None if pole[0] else complex(mu[0])
-
-
 def mu_image(s: CoefficientSet, lam: complex, n: int = DEFAULT_N_THETA) -> BoundaryCurve:
-    """Image of the unit circle under the implicit-eigenvalue map for one lambda."""
-    return _image_map(s).curve(_finite_scalar(lam, "lambda"), n)
+    """Image of the unit circle under the implicit-eigenvalue map for one
+    lambda: the implicit eigenvalues that place a characteristic root on it."""
+    return _image_map(s).family([_finite_scalar(lam, "lambda")], n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +343,14 @@ def explicit_boundary(s: CoefficientSet, n: int = DEFAULT_N_THETA) -> BoundaryCu
     """Boundary locus of the explicit stability region: A(e^(i theta)) / B(e^(i theta)),
     the lam = 0 curve of the B-map, refined."""
     image = _image_map(s, "B")
-    return _refine_locus(image, image.curve(0.0, n))
+    return _refine_locus(image, image.family([0.0], n)[0])
 
 
 def implicit_boundary(s: CoefficientSet, n: int = DEFAULT_N_THETA) -> BoundaryCurve:
     """Boundary locus of the implicit stability region: A(e^(i theta)) / C(e^(i theta)),
     the lam = 0 curve of the C-map, refined."""
     image = _image_map(s)
-    return _refine_locus(image, image.curve(0.0, n))
+    return _refine_locus(image, image.family([0.0], n)[0])
 
 
 def lambda_at(s: CoefficientSet, theta) -> complex:
@@ -448,24 +425,21 @@ def root_condition(s: CoefficientSet, lam: complex, mu: complex) -> StabilityVer
 # Wedge angles
 # ---------------------------------------------------------------------------
 
-def _min_angle(values: np.ndarray) -> float:
-    """Smallest angle from the negative real axis over constraining samples.
-
-    Samples with real part >= -ORIGIN_TOLERANCE impose no constraint; pi/2
-    (A-stability) is reported when nothing constrains.
-    """
-    v = values[np.isfinite(values) & (values.real < -ORIGIN_TOLERANCE)]
-    if len(v) == 0:
-        return math.pi / 2
-    return float(np.arctan2(np.abs(v.imag), -v.real).min())
+def _ratios(mu: np.ndarray) -> np.ndarray:
+    """|Im mu| / -Re mu, the tangent of mu's angle from the negative real
+    axis; inf where mu does not constrain (nan, Re mu >= -ORIGIN_TOLERANCE)."""
+    neg = -mu.real
+    constrains = neg > ORIGIN_TOLERANCE
+    return np.where(constrains, np.abs(mu.imag) / np.where(constrains, neg, 1.0), np.inf)
 
 
 def measure_alpha(curve: BoundaryCurve) -> WedgeAngle:
     """Measured wedge half-angle admitted by a sampled boundary curve: the
     smallest angle from the negative real axis over its finite samples and
-    its asymptote directions (the limits at the poles of the map)."""
-    return WedgeAngle.from_alpha(
-        _min_angle(np.concatenate([curve.finite_values(), curve.asymptotes])))
+    its asymptote directions (the limits at the poles of the map), ranked
+    by _ratios, pi/2 (A-stability) when nothing constrains."""
+    values = np.concatenate([curve.finite_values(), curve.asymptotes])
+    return WedgeAngle.from_tan(float(_ratios(values[np.isfinite(values)]).min(initial=np.inf)))
 
 
 def alpha_closed_form(variant: str, k: int, beta, nu=None) -> WedgeAngle:
@@ -557,9 +531,7 @@ class _Worst:
         """Ratios of mu at (theta_star, lam, theta), broadcast to mu's shape;
         inf where mu does not constrain (pole, Re mu >= -ORIGIN_TOLERANCE).
         kind says whether mu holds image samples or limit directions."""
-        neg = -mu.real
-        constrains = neg > ORIGIN_TOLERANCE
-        r = np.where(constrains, np.abs(mu.imag) / np.where(constrains, neg, 1.0), np.inf)
+        r = _ratios(mu)
         self.n_evals += r.size
         i = np.unravel_index(np.argmin(r), r.shape)
         if r[i] < self.ratio:
@@ -601,7 +573,7 @@ def imex_alpha_sweep(s: CoefficientSet, lambda_curve: BoundaryCurve,
        each lambda's own curve parameter, where its image passes through
        zero), in the direction of the leading Taylor term on each side
        (_anchor_directions), at their exact infimum over the continuous
-       family (_anchors.anchor_minima), so the witness names theta* exactly;
+       family (_circle.anchor_minima), so the witness names theta* exactly;
     2. every _LAMBDA_STRIDE-th lambda is mapped over a coarse subset of the
        n_theta grid;
     3. each lambda near the best local minima of that scan is mapped over
@@ -629,9 +601,7 @@ def imex_alpha_sweep(s: CoefficientSet, lambda_curve: BoundaryCurve,
                                   "sample")
         return r
 
-    # 1. limits at the anchors, in closed form (imported here, so that a run
-    #    that never sweeps does not load it)
-    from ._anchors import anchor_minima
+    # 1. limits at the anchors, in closed form
     resolution = max(anchor_minima(image, locus, lambda_curve._nu, worst), np.spacing(np.pi))
 
     # 2. coarse scan
@@ -690,7 +660,7 @@ def restrict_curve(curve: BoundaryCurve, nu: float) -> BoundaryCurve:
     curve must be explicit_boundary or implicit_boundary of a scheme whose
     denominator has no root on the unit circle; any other curve, one built
     from samples included, raises ValueError. The crossings with the strip's
-    edges are found in closed form (_anchors._strip_parts). The result keeps
+    edges are found in closed form (_circle._strip_parts). The result keeps
     the curve's samples inside the strip, takes the locus points at the
     crossings as corners, and joins the two corners of each excursion by a
     straight segment along Im = +/-nu, with as many points as the excursion
@@ -703,7 +673,6 @@ def restrict_curve(curve: BoundaryCurve, nu: float) -> BoundaryCurve:
     if locus is None or len(locus.den.pole_angles):
         raise ValueError("curve must be an explicit_boundary or implicit_boundary locus "
                          "with no pole on the circle")
-    from ._anchors import _strip_parts
     (lo, hi), segments, _ = _strip_parts(locus, nu)
     if segments is None:
         return BoundaryCurve(curve.theta, curve.values, curve.is_pole, _source=locus, _nu=nu)
@@ -717,7 +686,7 @@ def restrict_curve(curve: BoundaryCurve, nu: float) -> BoundaryCurve:
     kept = samples_in(lo, hi).any(axis=1)
     # every crossing starts one arc or one excursion: these are the corners
     new_theta = [np.concatenate([lo, a])]
-    new_values = [locus(0.0, locus.on(new_theta[0]))]
+    new_values = [locus.sample(0.0, new_theta[0])[0]]
     for i, n in enumerate(samples_in(a, b).sum(axis=0)):
         m = max(n + 2, 8)
         new_theta.append(np.linspace(a[i], b[i], m)[1:-1])

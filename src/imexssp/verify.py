@@ -301,7 +301,8 @@ def check_convergence_order(scale: float = 1.0) -> CheckResult:
     summary = ", ".join(f"{k}={v:.2f}" for k, v in orders.items())
     return CheckResult(
         "convergence-order", passed,
-        f"fitted orders in [{lo:.1f},{hi:.1f}]: {summary}" + (f"; out of range: {bad}" if bad else ""),
+        f"fitted orders in [{lo:.1f},{hi:.1f}]: {summary}"
+        + (f"; out of range: {bad}" if bad else ""),
     )
 
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from imexssp import stability
+from imexssp import _circle, stability
 from imexssp import verify as verify_module
 from imexssp.cli import main
 from imexssp.schemes import imex_scheme, mcnab, ssp_explicit
@@ -185,3 +185,14 @@ def test_mcnab_c0_reads_zero_as_a_limit_at_the_pole(rows):
     assert s == mcnab(0)
     assert result.kind == "limit" and result.theta == result.theta_star == -math.pi
     assert result.alpha <= 1e-15
+
+
+@pytest.mark.parametrize("c", [np.zeros(5, dtype=complex),
+                               np.array([0, 0, 2.5 - 1j, 0, 0])],
+                         ids=["zero", "constant"])
+def test_circle_roots_of_a_constant_are_none(c):
+    # a polynomial with no root: no angles and no Newton steps, as floats,
+    # so that they concatenate with the roots of the others
+    angles, steps = _circle._circle_roots(c)
+    assert angles.shape == steps.shape == (0,)
+    assert angles.dtype == steps.dtype == np.float64

@@ -240,8 +240,6 @@ class TestDiagonalScalarOperator:
         assert np.array_equal(op.apply(v), op.coef * v)
         x = op.solve_shifted(2.0, 0.5, v)
         assert np.allclose((2.0 - 0.5 * op.coef) * x, v)
-        assert bool(op)
-        assert not ScalarOperator(np.zeros(3))
 
     def test_one_singular_element_raises(self):
         op = ScalarOperator(np.array([1.0, 4.0, -1.0]))

@@ -76,13 +76,19 @@ def test_centred_family_bit_identical(k, beta, n):
 
 
 class Counts:
-    """Wraps _ImageMap.sample and _too_coarse: the points each evaluation
-    takes (the first is the initial grid) and, per pass, the intervals tested
-    and the intervals split."""
+    """Wraps _ImageMap.family, _ImageMap.sample and _too_coarse: the points
+    each evaluation takes (the first is the initial grid, which family
+    evaluates) and, per pass, the intervals tested and the intervals split."""
 
     def __init__(self, monkeypatch):
         self.evaluated, self.tested, self.split = [], [], []
-        sample, too_coarse = stability._ImageMap.sample, stability._too_coarse
+        family, sample = stability._ImageMap.family, stability._ImageMap.sample
+        too_coarse = stability._too_coarse
+
+        def counting_family(image, lams, n):
+            curves = family(image, lams, n)
+            self.evaluated.extend(len(curve) for curve in curves)
+            return curves
 
         def counting_eval(image, lam, theta):
             self.evaluated.append(len(theta))
@@ -94,6 +100,7 @@ class Counts:
             self.split.append(int(bad.sum()))
             return bad
 
+        monkeypatch.setattr(stability._ImageMap, "family", counting_family)
         monkeypatch.setattr(stability._ImageMap, "sample", counting_eval)
         monkeypatch.setattr(stability, "_too_coarse", counting_test)
 

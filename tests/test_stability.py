@@ -29,8 +29,8 @@ from imexssp.stability import (
     lambda_at,
     measure_alpha,
     min_image_real_part,
+    _image_map,
     mu_image,
-    mu_map,
     restrict_curve,
     root_condition,
     zero_expansion_coefficients,
@@ -67,7 +67,7 @@ class TestBoundaryLoci:
         assert abs(closest_sample(curve, -math.pi) - 4.0) < 1e-12
 
     def test_centred_pole_marker_at_half_pi(self):
-        assert mu_map(implicit_centred(3, 0), 0.0, math.pi / 2) is None
+        assert _image_map(implicit_centred(3, 0)).sample(0.0, np.array([math.pi / 2]))[1][0]
 
     def test_pole_samples_marked_on_grid(self):
         curve = implicit_boundary(implicit_centred(3, 0), 64)
@@ -103,29 +103,28 @@ def test_lambda_at_reproduces_explicit_boundary(sid, n):
     np.testing.assert_array_equal(lambda_at(s, curve.theta[finite]), curve.values[finite])
 
 
-class TestMuMap:
+class TestImageMap:
     def test_lambda_zero_reduces_to_implicit_boundary(self):
         s = imex_scheme("biased", 3)
         curve = implicit_boundary(s, 128)
-        for theta, value, pole in zip(curve.theta[::7], curve.values[::7],
-                                      curve.is_pole[::7]):
-            if pole:
-                continue
-            assert abs(mu_map(s, 0.0, theta) - value) < 1e-12
+        finite = ~curve.is_pole[::7]
+        mu, pole = _image_map(s).sample(0.0, curve.theta[::7][finite])
+        assert not pole.any()
+        assert np.abs(mu - curve.values[::7][finite]).max() < 1e-12
 
     def test_zero_at_matching_boundary_eigenvalue(self):
         s = imex_scheme("biased", 3)
         for theta_star in (0.7, 2.0, -1.3):
             lam = lambda_at(s, theta_star)
-            assert abs(mu_map(s, lam, theta_star)) < 1e-12
+            assert abs(_image_map(s).sample(lam, np.array([theta_star]))[0][0]) < 1e-12
 
     def test_biased_k3_value_at_pi(self):
         s = imex_scheme("biased", 3)
-        assert abs(mu_map(s, -4.0 / 3.0, math.pi)) < 1e-12
+        assert abs(_image_map(s).sample(-4.0 / 3.0, np.array([math.pi]))[0][0]) < 1e-12
 
     def test_requires_implicit_part(self):
         with pytest.raises(ValueError, match="implicit"):
-            mu_map(ssp_explicit(3), 0.0, 1.0)
+            _image_map(ssp_explicit(3))
 
 
 class TestRootCondition:

@@ -32,7 +32,8 @@ def test_every_package_import_resolves():
                for alias in node.names]
     assert imports
     for module, name in imports:
-        assert getattr(imexssp, name) is getattr(importlib.import_module(f"imexssp.{module}"), name)
+        source = importlib.import_module(f"imexssp.{module}")
+        assert getattr(imexssp, name) is getattr(source, name)
 
 
 # (module, name): parameter names with their defaults, in order
@@ -55,7 +56,6 @@ SIGNATURES = {
     ("stability", "_ImageMap"): [("A", REQUIRED), ("P", REQUIRED), ("Q", REQUIRED)],
     ("stability", "_ImageMap.sample"): [("self", REQUIRED), ("lam", REQUIRED),
                                         ("theta", REQUIRED)],
-    ("stability", "_ImageMap.curve"): [("self", REQUIRED), ("lam", REQUIRED), ("n", REQUIRED)],
     ("stability", "restrict_curve"): [("curve", REQUIRED), ("nu", REQUIRED)],
     ("verify", "check_zero_slope_expansion"): [("scale", 1.0)],
     ("verify", "check_tvd_ssp"): [("scale", 1.0)],
@@ -108,6 +108,10 @@ def test_pruned_fields(module, name):
     ("stability", "_unit_circle_pole_angles"),
     ("cli", "_phi_family_csv"),
     ("stability", "_ANCHOR_HOLE"),
+    ("stability", "mu_map"),
+    ("stability._ImageMap", "curve"),
+    ("stability", "_min_angle"),
+    ("stability.WedgeAngle", "from_alpha"),
 ])
 def test_deleted_name_stays_deleted(owner, name):
     module, _, attr = owner.partition(".")
@@ -116,6 +120,19 @@ def test_deleted_name_stays_deleted(owner, name):
         obj = getattr(obj, attr)
     assert not hasattr(obj, name)
     assert not hasattr(imexssp, name)
+
+
+def test_anchor_minima_module_stays_folded_into_circle():
+    assert importlib.util.find_spec("imexssp._anchors") is None
+
+
+def test_no_line_over_99_characters():
+    root = Path(__file__).resolve().parent.parent
+    files = sorted(root.glob("src/imexssp/*.py")) + sorted(root.glob("tests/*.py"))
+    assert files
+    long = [f"{path.relative_to(root)}:{i}" for path in files
+            for i, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 99]
+    assert long == []
 
 
 def _traced_names():

@@ -2,7 +2,7 @@
 
 The kernel is checked against an inline copy of the old per-lambda
 evaluation (A - lam B)/C, the sweep against an inline copy of the old dense
-lambda x theta sweep, and the witness against mu_map. The CLI and input
+lambda x theta sweep, and the witness against the map's own sample. The CLI and input
 rejections that ride along are at the end.
 """
 
@@ -27,7 +27,6 @@ from imexssp.stability import (
     imex_alpha_sweep,
     lambda_at,
     mu_image,
-    mu_map,
 )
 
 IMPLICIT_IDS = [sid for sid in BUILTIN_IDS if any(scheme_from_id(sid).c)]
@@ -173,14 +172,12 @@ def test_blocks_cover_every_lambda():
     np.testing.assert_array_equal(got, image(lams[:, None], image.on(rows)))
 
 
-def test_mu_map_and_mu_image_share_the_kernel():
+def test_sample_and_mu_image_share_the_kernel():
     s = scheme_from_id("imex-centred-k3")
     img = mu_image(s, -0.4 + 0.1j, 256)
-    for theta, value, pole in zip(img.theta[::9], img.values[::9], img.is_pole[::9]):
-        got = mu_map(s, -0.4 + 0.1j, theta)
-        assert (got is None) == pole
-        if not pole:
-            assert got == value
+    got, pole = stability._image_map(s).sample(-0.4 + 0.1j, img.theta[::9])
+    assert np.array_equal(pole, img.is_pole[::9])
+    assert np.array_equal(got[~pole], img.values[::9][~pole])
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +229,8 @@ def test_witness_reproduces_the_angle(table):
             continue
         mu = result.mu
         if result.kind == "sample":
-            assert mu_map(s, result.lam, result.theta) == mu
+            got = stability._image_map(s).sample(result.lam, np.array([result.theta]))[0]
+            assert got[0] == mu
         else:
             # a limit's mu is the unit direction at its anchor: a pole of the
             # map, or the eigenvalue's own curve parameter
@@ -308,8 +306,6 @@ def test_non_finite_lambda_rejected(bad):
     rule = "lambda must be finite" if np.ndim(bad) == 0 else "lambda must be a scalar"
     with pytest.raises(ValueError, match=rule):
         mu_image(s, bad, 64)
-    with pytest.raises(ValueError, match=rule):
-        mu_map(s, bad, 0.5)
 
 
 @pytest.mark.parametrize("bad", [math.nan, -math.inf, [0.0, math.nan], [0.0, math.nan, 1.0]])
@@ -317,22 +313,9 @@ def test_non_finite_theta_rejected(bad):
     s = scheme_from_id("imex-biased-k3")
     with pytest.raises(ValueError, match="theta must be finite"):
         lambda_at(s, bad)
-    if np.ndim(bad) == 0:
-        with pytest.raises(ValueError, match="theta must be finite"):
-            mu_map(s, -0.5, bad)
-    else:
+    if np.ndim(bad):
         with pytest.raises(ValueError, match="theta must be finite"):
             BoundaryCurve(bad, np.zeros(len(bad)), np.zeros(len(bad), dtype=bool))
-
-
-@pytest.mark.parametrize("lam,theta,name", [
-    (np.array([-0.5, -0.4]), 0.1, "lambda"),
-    (-0.5, np.array([0.1, 0.2]), "theta"),
-    (-0.5, [[0.1]], "theta"),
-])
-def test_array_input_to_mu_map_rejected(lam, theta, name):
-    with pytest.raises(ValueError, match=f"{name} must be a scalar"):
-        mu_map(scheme_from_id("imex-biased-k3"), lam, theta)
 
 
 @pytest.mark.parametrize("command", [
@@ -433,7 +416,7 @@ def test_angles_csv_header_unchanged(capsys):
 def test_image_map_is_built_once_per_scheme():
     s = scheme_from_id("imex-biased-k4")
     image = stability._image_map(s)
-    # an equal scheme built again shares the map; mu_map reads the same one
+    # an equal scheme built again shares the map, and sample reads it
     assert stability._image_map(scheme_from_id("imex-biased-k4")) is image
     z = image(np.array([-0.5 + 0.1j])[:, None], image.on(np.array([0.3])))
-    assert stability.mu_map(s, -0.5 + 0.1j, 0.3) == complex(z[0, 0])
+    assert image.sample(-0.5 + 0.1j, np.array([0.3]))[0][0] == z[0, 0]
