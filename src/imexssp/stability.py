@@ -693,8 +693,10 @@ def restrict_curve(curve: BoundaryCurve, nu: float) -> BoundaryCurve:
         new_values.append(np.linspace(x_a[i], x_b[i], m)[1:-1] + 1j * edge[i])
     theta = np.concatenate([curve.theta[kept], _wrap_angle(np.concatenate(new_theta))])
     values = np.concatenate([curve.values[kept], *new_values])
-    order = np.argsort(theta)
-    return BoundaryCurve(theta[order], values[order], np.zeros(len(theta), dtype=bool),
+    # at nu <= 1e-16 a corner wraps onto a kept sample's theta: the sample stays
+    order = np.argsort(theta, kind="stable")
+    order = order[np.diff(theta[order], prepend=-np.inf) > 0]
+    return BoundaryCurve(theta[order], values[order], np.zeros(len(order), dtype=bool),
                          _source=locus, _nu=nu)
 
 

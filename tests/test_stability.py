@@ -405,6 +405,18 @@ class TestRestrictCurve:
         lam = clipped.values[corners]
         assert np.all(np.abs(lam - lambda_at(s, clipped.theta[corners])) <= 1e-14 * np.abs(lam))
 
+    @pytest.mark.parametrize("nu", [1e-15, 1e-16, 1e-300])
+    @pytest.mark.parametrize("sid, imex", [("ssp3", "imex-biased-k3"),
+                                           ("ssp4", "imex-biased-k4"),
+                                           ("imex-bdf2", "imex-bdf2")])
+    def test_nu_at_rounding_level(self, sid, imex, nu):
+        # below about 1e-16 the corners next to theta = 0 and -pi wrap onto
+        # the kept samples there; the clip keeps one sample per theta
+        clipped = restrict_curve(explicit_boundary(scheme_from_id(sid)), nu)
+        assert np.all(np.diff(clipped.theta) > 0)
+        assert np.max(np.abs(clipped.values.imag)) <= nu + 2.5e-16
+        assert imex_alpha_sweep(scheme_from_id(imex), clipped).n_evals > 0
+
     @pytest.mark.parametrize("curve", [
         BoundaryCurve(np.linspace(-np.pi, np.pi, 16, endpoint=False),
                       np.linspace(-1, 1, 16) + 0.1j, np.zeros(16, dtype=bool)),
