@@ -49,61 +49,47 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _svg_render(curves) -> str:
     """Render labelled curves as polylines with real/imaginary axes, on a
-    640 x 640 canvas; points beyond modulus 8 are left out."""
+    640 x 640 canvas; points beyond modulus 8 are left out. Every coordinate
+    is written by fill, with two decimals."""
     width = height = 640
-    clip = 8.0
-    pts_all = [v for _, c in curves for v in c.finite_values()
-               if abs(v) <= clip and np.isfinite(v)]
-    if not pts_all:
+    px = "%.2f"
+    # the points drawn, per curve: no pole, finite, modulus at most 8
+    shown = [~c.is_pole & np.isfinite(c.values) & (np.abs(c.values) <= 8.0)
+             for _, c in curves]
+    if not any(m.any() for m in shown):
         raise ValueError("nothing to render")
-    re = np.array([p.real for p in pts_all])
-    im = np.array([p.imag for p in pts_all])
-    lo_x, hi_x = re.min(), re.max()
-    lo_y, hi_y = im.min(), im.max()
-    pad_x = 0.1 * max(hi_x - lo_x, 1e-3)
-    pad_y = 0.1 * max(hi_y - lo_y, 1e-3)
-    lo_x, hi_x = lo_x - pad_x, hi_x + pad_x
-    lo_y, hi_y = lo_y - pad_y, hi_y + pad_y
+    pts = np.concatenate([c.values[m] for (_, c), m in zip(curves, shown)])
+    # the box of the drawn points, padded by a tenth of its sides: (re, im)
+    xy = np.stack([pts.real, pts.imag])
+    lo, hi = xy.min(axis=1), xy.max(axis=1)
+    pad = 0.1 * np.maximum(hi - lo, 1e-3)
+    lo, hi = lo - pad, hi + pad
 
     def to_px(v):
-        x = (v.real - lo_x) / (hi_x - lo_x) * width
-        y = height - (v.imag - lo_y) / (hi_y - lo_y) * height
-        return f"{x:.2f},{y:.2f}"
+        return ((v.real - lo[0]) / (hi[0] - lo[0]) * width,
+                height - (v.imag - lo[1]) / (hi[1] - lo[1]) * height)
 
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    if lo_x < 0 < hi_x:
-        x0 = (0 - lo_x) / (hi_x - lo_x) * width
-        parts.append(f'<line x1="{x0:.2f}" y1="0" x2="{x0:.2f}" y2="{height}" '
-                     'stroke="#999" stroke-width="1"/>')
-    if lo_y < 0 < hi_y:
-        y0 = height - (0 - lo_y) / (hi_y - lo_y) * height
-        parts.append(f'<line x1="0" y1="{y0:.2f}" x2="{width}" y2="{y0:.2f}" '
-                     'stroke="#999" stroke-width="1"/>')
-    for i, (label, curve) in enumerate(curves):
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+             f'viewBox="0 0 {width} {height}">',
+             f'<rect width="{width}" height="{height}" fill="white"/>']
+    x0, y0 = to_px(0j)
+    axis = 'stroke="#999" stroke-width="1"/>'
+    if lo[0] < 0 < hi[0]:
+        parts.append(fill(f'<line x1="{px}" y1="0" x2="{px}" y2="{height}" {axis}', [x0], [x0]))
+    if lo[1] < 0 < hi[1]:
+        parts.append(fill(f'<line x1="0" y1="{px}" x2="{width}" y2="{px}" {axis}', [y0], [y0]))
+    for i, ((label, curve), m) in enumerate(zip(curves, shown)):
         color = colors[i % len(colors)]
-        # split the polyline at poles and clipped points
-        segment = []
-        segments = []
-        for v, p in zip(curve.values, curve.is_pole):
-            if p or not np.isfinite(v) or abs(v) > clip:
-                if len(segment) > 1:
-                    segments.append(segment)
-                segment = []
-            else:
-                segment.append(v)
-        if len(segment) > 1:
-            segments.append(segment)
-        for seg in segments:
-            pts = " ".join(to_px(v) for v in seg)
-            parts.append(f'<polyline points="{pts}" fill="none" '
-                         f'stroke="{color}" stroke-width="1.5"><title>{label}</title></polyline>')
-    parts.append("</svg>\n")
-    return "\n".join(parts)
+        x, y = to_px(curve.values)
+        # one polyline per run of drawn points, split at poles and clipped points
+        edges = np.flatnonzero(np.diff(m, prepend=False, append=False))
+        for a, b in zip(edges[::2], edges[1::2]):
+            if b - a > 1:
+                points = fill(" ".join([f"{px},{px}"] * (b - a)), x[a:b], y[a:b])
+                parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
+                             f'stroke-width="1.5"><title>{label}</title></polyline>')
+    return "\n".join([*parts, "</svg>\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +217,14 @@ def cmd_regions(args) -> int:
     return 0
 
 
-def _json_value(v):
-    """A table cell as JSON: complex numbers become [re, im]."""
-    return [v.real, v.imag] if isinstance(v, complex) else v
-
-
 def cmd_angles(args) -> int:
     _check_format(args, "angles", "csv", "json")
     _check_samples(args)
     rows = angle_table(n_lambda=args.n_lambda, n_theta=args.n_theta)
     if args.format == "json":
-        payload = [{k: _json_value(v) for k, v in row.items()} for row in rows]
+        # complex cells become [re, im]
+        payload = [{k: [v.real, v.imag] if isinstance(v, complex) else v for k, v in row.items()}
+                   for row in rows]
         _write_output(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
     buf = io.StringIO()

@@ -182,6 +182,17 @@ def test_only_cli_writes_csv():
     assert [m for m in MODULES if "csvfmt" in _imports(m)[1]] == ["cli"]
 
 
+def test_svg_render_formats_no_number_itself():
+    # one number formatter: the SVG coordinates go through csvfmt.fill, so
+    # no f-string of the renderer carries a format spec such as :.2f
+    tree = ast.parse(Path(imexssp.__path__[0], "cli.py").read_text())
+    [render] = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_svg_render"]
+    specs = [ast.unparse(node) for node in ast.walk(render)
+             if isinstance(node, ast.FormattedValue) and node.format_spec is not None]
+    assert specs == []
+
+
 def test_package_import_graph_has_no_cycle():
     graph = {m: _imports(m)[1] for m in MODULES}
     done, path = set(), []
