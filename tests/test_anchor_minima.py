@@ -9,14 +9,17 @@ its minimum.
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imexssp import _circle, stability
 from imexssp import verify as verify_module
 from imexssp.cli import main
-from imexssp.schemes import imex_scheme, mcnab, ssp_explicit
+from imexssp.schemes import CoefficientSet, imex_scheme, mcnab, order_residual, ssp_explicit
 from imexssp.stability import (
     ORIGIN_TOLERANCE,
     BoundaryCurve,
@@ -116,6 +119,75 @@ def test_every_row_is_a_closed_form_limit(rows):
             continue
         assert result.kind == "limit", s.name
         assert -math.pi <= result.theta_star < math.pi
+
+
+# ---------------------------------------------------------------------------
+# Generated schemes: the sweep against the dense grid
+# ---------------------------------------------------------------------------
+
+def _in_closed_disk(a) -> bool:
+    """The roots of a_0 z^k + ... + a_k lie in the closed unit disk, and 1
+    is a simple one (-sum i a_i, the derivative there, is not 0)."""
+    return (sum(i * x for i, x in enumerate(a)) != 0
+            and np.abs(np.roots([float(x) for x in a])).max() <= 1 + 1e-9)
+
+
+@st.composite
+def second_order_schemes(draw):
+    """A k-step IMEX scheme of order 2 in Fraction arithmetic: a_0 = 1,
+    small-rational middle a-weights, a_k from consistency (sum a = 0), kept
+    when zero-stable by _in_closed_disk; b_3.. and c_2.. drawn, and b_1, b_2,
+    c_0, c_1 solved from the order-1 and order-2 conditions."""
+    k = draw(st.integers(2, 4))
+    a = draw(st.lists(st.fractions(-2, 1, max_denominator=4), min_size=k - 1, max_size=k - 1)
+             .map(lambda mid: (Fraction(1), *mid, -1 - sum(mid))).filter(_in_closed_disk))
+    weight = st.fractions(-2, 2, max_denominator=3)
+    b_rest = draw(st.lists(weight, min_size=k - 2, max_size=k - 2))
+    c_rest = draw(st.lists(weight, min_size=k - 1, max_size=k - 1))
+    # order_residual's grid t_i = 1 - i: sum w_i t_i^(q-1) q = sum a_i t_i^q
+    # for q = 1, 2, and t_1 = 0, t_2 = -1
+    t = [1 - i for i in range(k + 1)]
+    s1, s2 = (sum(x * ti**q for x, ti in zip(a, t)) for q in (1, 2))
+    b2 = sum(x * ti for x, ti in zip(b_rest, t[3:])) - s2 / 2
+    c0 = s2 / 2 - sum(x * ti for x, ti in zip(c_rest, t[2:]))
+    return CoefficientSet(k, a, (0, s1 - sum(b_rest) - b2, b2, *b_rest),
+                          (c0, s1 - sum(c_rest) - c0, *c_rest), name="generated")
+
+
+centred_schemes = st.builds(imex_scheme, st.just("centred"), st.sampled_from([3, 4]),
+                            st.fractions(0, Fraction(1, 2), max_denominator=8))
+clip = st.none() | st.floats(0.05, 1.0)
+
+
+def check_against_dense_grid(s, nu):
+    """The sweep accepts the locus, clipped at nu or not, or raises its
+    documented ValueError; when it accepts, the dense grid never beats it."""
+    try:
+        curve = explicit_boundary(s, 1024)
+        if nu is not None:
+            curve = stability.restrict_curve(curve, nu)
+        result = imex_alpha_sweep(s, curve)
+    except ValueError as exc:
+        # a root of B on the circle: the locus has a pole
+        assert str(exc).endswith("no pole on the circle"), exc
+        return
+    got = dense_alpha(s, dense_family(s, nu, 512), 1024)
+    tol = 1e-12 if result.kind == "limit" else 1e-9
+    assert got >= result.alpha - tol, (s, nu, got, result)
+
+
+@settings(max_examples=25, deadline=None)
+@given(second_order_schemes(), clip)
+def test_generated_schemes_against_the_dense_grid(s, nu):
+    assert order_residual(s, 2) == 0
+    check_against_dense_grid(s, nu)
+
+
+@settings(max_examples=15, deadline=None)
+@given(centred_schemes, clip)
+def test_centred_family_against_the_dense_grid(s, nu):
+    # C has roots on the circle: families with poles on the locus
+    check_against_dense_grid(s, nu)
 
 
 # ---------------------------------------------------------------------------
