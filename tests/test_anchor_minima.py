@@ -176,14 +176,14 @@ def check_against_dense_grid(s, nu):
     assert got >= result.alpha - tol, (s, nu, got, result)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(second_order_schemes(), clip)
 def test_generated_schemes_against_the_dense_grid(s, nu):
     assert order_residual(s, 2) == 0
     check_against_dense_grid(s, nu)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=12, deadline=None)
 @given(centred_schemes, clip)
 def test_centred_family_against_the_dense_grid(s, nu):
     # C has roots on the circle: families with poles on the locus
