@@ -19,7 +19,7 @@ import numpy as np
 
 from . import problems
 from .csvfmt import FLOAT, fill, fmt, format_rows
-from .integrate import BlowUpError, StepFailureError, integrate
+from .integrate import BlowUpError, StepFailureError, integrate  # noqa: F401 (bench tests read it)
 from .schemes import BUILTIN_IDS, REGISTRY_IDS, scheme_from_id, scheme_parameters
 from .stability import _image_map, explicit_boundary, implicit_boundary, restrict_curve
 from .verify import CRITERIA, angle_table, run_criteria
@@ -270,24 +270,14 @@ def cmd_converge(args) -> int:
     buf.write("scheme,problem,dt,error,fitted_order\n")
     for sid, s in schemes:
         if args.problem == "dahlquist":
-            lam, mu = (-0.4, -0.6) if s.is_implicit else (-1.0, 0.0)
-            prob = problems.dahlquist(lam, mu)
+            prob = problems.dahlquist_for(s)
         else:
             grid = problems.GridSpec(args.cells)
             cfg = problems.AdvectionDiffusionConfig(
                 courant=args.sigma,
                 diffusion_number=args.dnum if s.is_implicit else 0.0)
             prob = problems.advection_diffusion_1d(grid, cfg, mode=1)
-        # advdiff steps the DFT coefficients, where both halves are diagonal,
-        # and measures its error on grid values
-        stepped = prob if args.problem == "dahlquist" else problems.fourier_modes(prob)
-        errs = []
-        for dt in dts:
-            final = integrate(stepped, s, t_end, dt)
-            if stepped is not prob:
-                final = np.fft.ifft(final, norm="forward")
-            errs.append(float(np.max(np.abs(final - prob.exact(t_end)))))
-        order = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
+        errs, order = problems.convergence(prob, s, t_end, dts)
         buf.write(format_rows(f"{sid},{args.problem},{FLOAT},{FLOAT},{FLOAT}\n",
                               dts, errs, [order] * len(dts)))
         # errors this small are rounding noise, and so is an order fitted to them
@@ -320,25 +310,13 @@ def cmd_tvd(args) -> int:
         initial = problems.monotone_staircase(args.cells, seed=args.seed)
     prob = problems.upwind_advection(grid, initial=initial)
     dt = args.sigma * grid.dx
-    max_norm, tv = [], []
-
-    def record(_, y, norm):
-        max_norm.append(norm)
-        tv.append(problems.total_variation(y))
-
-    try:
-        integrate(prob, s, args.steps * dt, dt, observe=record)
-    except BlowUpError:
-        pass  # a beyond-CFL probe ends on the level that passed the guard
-    t = prob.t0 + dt * np.arange(len(tv))
+    t, max_norm, tv, own = problems.tv_series(prob, s, args.steps * dt, dt)
     growth = np.diff(tv)
     _write_output("t,max_norm,total_variation,tv_growth\n"
                   + format_rows(f"{FLOAT},{FLOAT},{FLOAT},\n", t[:1], max_norm[:1], tv[:1])
                   + format_rows(f"{FLOAT},{FLOAT},{FLOAT},{FLOAT}\n",
                                 t[1:], max_norm[1:], tv[1:], growth),
                   args.out)
-    # differences between the exact starting levels are not the scheme's steps
-    own = growth[s.k - 1:]
     print(f"max per-step TV growth: {own.max():.6g} over {len(own)} steps of the scheme "
           f"after {s.k} exact starting levels", file=sys.stderr)
     return 0

@@ -1,20 +1,24 @@
-"""Reference test problems: the scalar split test equation, 1D periodic
-advection-diffusion with the third-order upwind-biased advection stencil,
-and first-order upwind advection for total-variation experiments."""
+"""Reference test problems, and the convergence and total-variation runs on
+them: the scalar split test equation, 1D periodic advection-diffusion with the
+third-order upwind-biased advection stencil, and first-order upwind advection."""
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .integrate import (
+    BlowUpError,
     CirculantOperator,
     LinearSplitOperator,
     ScalarOperator,
     SplitProblem,
     ZeroOperator,
+    integrate,
 )
+from .schemes import CoefficientSet
 
 __all__ = [
     "GridSpec",
@@ -25,6 +29,7 @@ __all__ = [
     "upwind_advection",
     "fourier_modes",
     "total_variation",
+    "convergence", "dahlquist_for", "tv_series",
     "step_data",
     "monotone_staircase",
 ]
@@ -75,6 +80,11 @@ def dahlquist(lam: complex, mu: complex) -> SplitProblem:
         return np.array([np.exp((lam + mu) * t)])
 
     return SplitProblem(LinearSplitOperator(ScalarOperator(lam), ScalarOperator(mu)), exact)
+
+
+def dahlquist_for(s: CoefficientSet) -> SplitProblem:
+    """The split test equation a convergence run steps s on: rate -1, split over its parts."""
+    return dahlquist(*((-0.4, -0.6) if s.is_implicit else (-1.0, 0.0)))
 
 
 def advection_diffusion_1d(grid: GridSpec, cfg: AdvectionDiffusionConfig,
@@ -192,6 +202,30 @@ def total_variation(u) -> float:
     np.subtract(u[1:], u[:-1], out=d[:-1])
     d[-1] = u[0] - u[-1]
     return float(np.abs(d).sum())
+
+
+def convergence(problem: SplitProblem, s: CoefficientSet, t_end: float, dts) -> tuple:
+    """(errors, order): max|y(t_end) - exact(t_end)| of s at each dt, and the slope of log error
+    over log dt. A circulant explicit half steps the DFT coefficients (fourier_modes)."""
+    modes = isinstance(problem.operator.explicit, CirculantOperator)
+    stepped = fourier_modes(problem) if modes else problem
+    errs = []
+    for dt in dts:
+        final = integrate(stepped, s, t_end, dt)
+        final = np.fft.ifft(final, norm="forward") if modes else final
+        errs.append(float(np.max(np.abs(final - problem.exact(t_end)))))
+    return errs, float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
+
+
+def tv_series(problem: SplitProblem, s: CoefficientSet, t_end: float, dt: float) -> tuple:
+    """(t, max_norm, tv, own): each level's time, max norm and total variation, up to the one
+    that passed the overflow guard, and the TV growth of the steps after the k exact levels."""
+    rows = []
+    with contextlib.suppress(BlowUpError):
+        integrate(problem, s, t_end, dt,
+                  observe=lambda _, y, norm: rows.append((norm, total_variation(y))))
+    max_norm, tv = zip(*rows)
+    return problem.t0 + dt * np.arange(len(tv)), max_norm, tv, np.diff(tv)[s.k - 1:]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import problems
-from .integrate import empirical_stability, integrate
+from .integrate import empirical_stability, integrate  # noqa: F401 (bench tests read it)
 from .schemes import (
     BUILTIN_IDS,
     imex_bdf2,
@@ -286,16 +286,9 @@ def check_root_vs_winding(scale: float = 1.0) -> CheckResult:
 def check_convergence_order(scale: float = 1.0) -> CheckResult:
     lo, hi = 2.0 - 0.1 * scale, 2.0 + 0.1 * scale
     dts = [1 / 40, 1 / 80, 1 / 160, 1 / 320]
-    orders = {}
-    for sid in BUILTIN_IDS:
-        s = scheme_from_id(sid)
-        lam, mu = (-0.4, -0.6) if s.is_implicit else (-1.0, 0.0)
-        errs = []
-        for dt in dts:
-            prob = problems.dahlquist(lam, mu)
-            final = integrate(prob, s, 1.0, dt)
-            errs.append(abs(final[0] - prob.exact(1.0)[0]))
-        orders[sid] = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
+    schemes = {sid: scheme_from_id(sid) for sid in BUILTIN_IDS}
+    orders = {sid: problems.convergence(problems.dahlquist_for(s), s, 1.0, dts)[1]
+              for sid, s in schemes.items()}
     bad = {k: v for k, v in orders.items() if not lo <= v <= hi}
     passed = not bad
     summary = ", ".join(f"{k}={v:.2f}" for k, v in orders.items())
@@ -319,12 +312,7 @@ def check_tvd_ssp(scale: float = 1.0) -> CheckResult:
     for sid, sigma in (("ssp3", 0.5), ("ssp4", 2.0 / 3.0), ("euler", 1.0)):
         s = scheme_from_id(sid)
         dt = sigma * grid.dx
-        prob = problems.upwind_advection(grid)
-        tv = []
-        integrate(prob, s, n_steps * dt, dt,
-                  observe=lambda _, y, __: tv.append(problems.total_variation(y)))
-        # the scheme's own steps follow its k exact starting levels
-        own = np.diff(tv)[s.k - 1:]
+        own = problems.tv_series(problems.upwind_advection(grid), s, n_steps * dt, dt)[3]
         growth = float(own.max())
         worst = max(worst, growth)
         details.append(f"{sid}@{sigma:.3g}: {growth:.2e} over {len(own)} steps")
