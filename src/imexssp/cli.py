@@ -255,6 +255,10 @@ def cmd_converge(args) -> int:
     # advdiff defaults tie dt to the grid's Courant step so the finest
     # explicit eigenvalues stay inside the stability region
     if args.problem == "advdiff":
+        for sid, s in schemes:
+            if not any(s.b):
+                raise ValueError(f"{sid} has no explicit part to step the advection of "
+                                 "--problem advdiff")
         if args.dnum is not None and not any(s.is_implicit for _, s in schemes):
             raise ValueError(f"--dnum applies to implicit schemes only, not to {args.scheme}")
         _default(args, cells=64, sigma=0.35, dnum=0.1)
@@ -293,6 +297,9 @@ def cmd_converge(args) -> int:
 def cmd_tvd(args) -> int:
     _check_format(args, "tvd", "csv")
     [(_, s)] = _schemes(args, [args.scheme])
+    if not any(s.b):
+        raise ValueError(f"{args.scheme} has no explicit part to step the upwind advection "
+                         "of tvd")
     # the first k levels are exact starting values; the scheme takes the rest
     if args.steps < s.k:
         raise ValueError(f"--steps must be at least k = {s.k} for {args.scheme}, "

@@ -83,7 +83,10 @@ def dahlquist(lam: complex, mu: complex) -> SplitProblem:
 
 
 def dahlquist_for(s: CoefficientSet) -> SplitProblem:
-    """The split test equation a convergence run steps s on: rate -1, split over its parts."""
+    """The split test equation a convergence run steps s on: rate -1, split over its parts.
+    A scheme with one part gets all of it: euler lam = -1, a pure implicit scheme mu = -1."""
+    if not any(s.b):
+        return dahlquist(0.0, -1.0)
     return dahlquist(*((-0.4, -0.6) if s.is_implicit else (-1.0, 0.0)))
 
 

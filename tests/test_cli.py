@@ -358,6 +358,20 @@ class TestConverge:
         rows, _ = run_csv(tmp_path, ["converge", "--scheme", "euler"])
         assert float(rows[0]["fitted_order"]) == pytest.approx(1.0, abs=0.1)
 
+    def test_pure_implicit_scheme_second_order(self, tmp_path):
+        # its whole rate goes on the implicit half, the one part it has
+        rows, _ = run_csv(tmp_path, ["converge", "--scheme", "implicit-biased-k3"])
+        assert float(rows[0]["fitted_order"]) == pytest.approx(2.0, abs=0.1)
+        assert float(rows[-1]["error"]) < 1e-5
+
+    @pytest.mark.parametrize("scheme", ["implicit-biased-k3", "implicit-centred-k4"])
+    def test_advdiff_without_explicit_part_rejected(self, capsys, scheme):
+        assert main(["converge", "--problem", "advdiff", "--scheme", scheme]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {scheme} has no explicit part to step the advection "
+                                "of --problem advdiff\n")
+        assert captured.out == ""
+
     def test_advdiff_problem(self, tmp_path):
         rows, _ = run_csv(tmp_path, [
             "converge", "--scheme", "imex-biased-k3", "--problem", "advdiff",
@@ -529,6 +543,14 @@ class TestTvd:
         assert "over 37 steps of the scheme after 4 exact starting levels" in err
         reported = float(err.split("max per-step TV growth: ")[1].split()[0])
         assert reported == pytest.approx(growth[3:].max(), rel=1e-5)
+
+    @pytest.mark.parametrize("scheme", ["implicit-biased-k3", "implicit-centred-k4"])
+    def test_scheme_without_explicit_part_rejected(self, capsys, scheme):
+        assert main(["tvd", "--scheme", scheme]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {scheme} has no explicit part to step the upwind "
+                                "advection of tvd\n")
+        assert captured.out == ""
 
     def test_negative_seed_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from imexssp.integrate import (
+    BLOWUP_LIMIT,
     CirculantOperator,
     LinearSplitOperator,
     ScalarOperator,
@@ -15,15 +16,20 @@ from imexssp.problems import (
     AdvectionDiffusionConfig,
     GridSpec,
     advection_diffusion_1d,
+    convergence,
     dahlquist,
+    dahlquist_for,
     fourier_modes,
     fourier_symbol_kappa,
     monotone_staircase,
     step_data,
     total_variation,
+    tv_series,
     upwind_advection,
 )
-from imexssp.schemes import forward_euler, scheme_from_id
+from imexssp.schemes import REGISTRY_IDS, forward_euler, scheme_from_id
+
+PURE_IMPLICIT = [sid for sid in REGISTRY_IDS if sid.startswith("implicit-")]
 
 
 class TestDahlquist:
@@ -45,6 +51,55 @@ class TestDahlquist:
         y = np.array([2.0 + 0j])
         assert prob.operator.explicit.apply(y)[0] == pytest.approx(-0.8)
         assert prob.operator.implicit.apply(y)[0] == pytest.approx(-1.2)
+
+
+class TestExperiments:
+    @pytest.mark.parametrize("sid", REGISTRY_IDS)
+    def test_rate_lies_on_the_parts_the_scheme_has(self, sid):
+        s = scheme_from_id(sid)
+        op = dahlquist_for(s).operator
+        lam, mu = op.explicit.coef, op.implicit.coef
+        assert lam + mu == -1
+        assert (lam != 0) == any(s.b)
+        assert (mu != 0) == s.is_implicit
+
+    @pytest.mark.parametrize("sid", PURE_IMPLICIT)
+    def test_pure_implicit_scheme_converges(self, sid):
+        # with the rate on the explicit half, which b = 0 never applies, the
+        # errors stayed near 0.18 and the fitted order near 0
+        s = scheme_from_id(sid)
+        errs, order = convergence(dahlquist_for(s), s, 1.0, [1 / 40, 1 / 80, 1 / 160, 1 / 320])
+        assert max(errs) < 1e-3
+        assert order > 1.9
+
+    def test_convergence_steps_the_modes_of_a_circulant_problem(self):
+        s = scheme_from_id("imex-biased-k3")
+        prob = advection_diffusion_1d(GridSpec(32), AdvectionDiffusionConfig(0.35, 0.1), mode=1)
+        dts = [0.35 / 32, 0.35 / 64]
+        errs, _ = convergence(prob, s, 16 * dts[0], dts)
+        for dt, err in zip(dts, errs):
+            final = integrate(prob, s, 16 * dts[0], dt)
+            assert err == pytest.approx(np.abs(final - prob.exact(16 * dts[0])).max(), rel=1e-6)
+
+    def test_tv_series_reads_every_level(self, level_record):
+        grid = GridSpec(64)
+        s = scheme_from_id("ssp3")
+        dt = 0.5 * grid.dx
+        t, max_norm, tv, own = tv_series(upwind_advection(grid), s, 40 * dt, dt)
+        rec = level_record()
+        integrate(upwind_advection(grid), s, 40 * dt, dt, observe=rec)
+        assert list(max_norm) == rec.max_norm and list(tv) == rec.tv
+        np.testing.assert_array_equal(t, dt * np.arange(41))
+        np.testing.assert_array_equal(own, np.diff(rec.tv)[2:])
+
+    def test_tv_series_ends_on_the_level_past_the_guard(self):
+        grid = GridSpec(256)
+        s = scheme_from_id("ssp3")
+        dt = 3 * grid.dx
+        t, max_norm, tv, own = tv_series(upwind_advection(grid), s, 400 * dt, dt)
+        assert len(t) == len(max_norm) == len(tv) < 401
+        assert max_norm[-1] > BLOWUP_LIMIT >= max(max_norm[:-1])
+        assert len(own) == len(tv) - s.k
 
 
 class TestAdvectionDiffusion:
