@@ -46,6 +46,11 @@ SIGNATURES = {
     ("problems", "advection_diffusion_1d"): [("grid", REQUIRED), ("cfg", REQUIRED),
                                              ("mode", REQUIRED)],
     ("problems", "dahlquist"): [("lam", REQUIRED), ("mu", REQUIRED)],
+    ("problems", "dahlquist_for"): [("s", REQUIRED)],
+    ("problems", "convergence"): [("problem", REQUIRED), ("s", REQUIRED), ("t_end", REQUIRED),
+                                  ("dts", REQUIRED)],
+    ("problems", "tv_series"): [("problem", REQUIRED), ("s", REQUIRED), ("t_end", REQUIRED),
+                                ("dt", REQUIRED)],
     ("problems", "fourier_modes"): [("problem", REQUIRED)],
     ("problems", "step_data"): [("n", REQUIRED)],
     ("problems", "monotone_staircase"): [("n", REQUIRED), ("seed", 1234)],
@@ -191,6 +196,16 @@ def test_svg_render_formats_no_number_itself():
     specs = [ast.unparse(node) for node in ast.walk(render)
              if isinstance(node, ast.FormattedValue) and node.format_spec is not None]
     assert specs == []
+
+
+@pytest.mark.parametrize("module", ["cli", "verify"])
+def test_experiments_step_through_problems_only(module):
+    # one run per experiment: converge, tvd and their verify criteria call
+    # problems.convergence and problems.tv_series, which call integrate
+    tree = ast.parse(Path(imexssp.__path__[0], f"{module}.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and ast.unparse(node.func).rpartition(".")[2] == "integrate"]
+    assert calls == []
 
 
 def test_package_import_graph_has_no_cycle():
