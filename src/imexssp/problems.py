@@ -209,7 +209,7 @@ def total_variation(u) -> float:
 
 def convergence(problem: SplitProblem, s: CoefficientSet, t_end: float, dts) -> tuple:
     """(errors, order): max|y(t_end) - exact(t_end)| of s at each dt, and the slope of log error
-    over log dt. A circulant explicit half steps the DFT coefficients (fourier_modes)."""
+    over log dt. A circulant problem is stepped on its DFT coefficients (fourier_modes)."""
     modes = isinstance(problem.operator.explicit, CirculantOperator)
     stepped = fourier_modes(problem) if modes else problem
     errs = []

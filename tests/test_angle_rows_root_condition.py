@@ -44,7 +44,7 @@ def test_row_is_sharp_by_the_root_condition(rows, index):
     alpha = row["alpha_measured"]
     family = curve.finite_values()[::4]
     # the row at alpha = 0 (mcnab c = 0) looks above on its family: its witness
-    # lambda = -1 + 9e-17i sits where A - lambda B nearly vanishes at the pole
+    # lambda = -1 - 9.2e-17i sits where A - lambda B nearly vanishes at the pole
     # of C, and no unstable pair lies above it there; the row at pi/2 has no
     # witness and no above half
     witness = row["witness_lambda"]

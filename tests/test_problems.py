@@ -72,26 +72,6 @@ class TestExperiments:
         assert max(errs) < 1e-3
         assert order > 1.9
 
-    def test_convergence_steps_the_modes_of_a_circulant_problem(self):
-        s = scheme_from_id("imex-biased-k3")
-        prob = advection_diffusion_1d(GridSpec(32), AdvectionDiffusionConfig(0.35, 0.1), mode=1)
-        dts = [0.35 / 32, 0.35 / 64]
-        errs, _ = convergence(prob, s, 16 * dts[0], dts)
-        for dt, err in zip(dts, errs):
-            final = integrate(prob, s, 16 * dts[0], dt)
-            assert err == pytest.approx(np.abs(final - prob.exact(16 * dts[0])).max(), rel=1e-6)
-
-    def test_tv_series_reads_every_level(self, level_record):
-        grid = GridSpec(64)
-        s = scheme_from_id("ssp3")
-        dt = 0.5 * grid.dx
-        t, max_norm, tv, own = tv_series(upwind_advection(grid), s, 40 * dt, dt)
-        rec = level_record()
-        integrate(upwind_advection(grid), s, 40 * dt, dt, observe=rec)
-        assert list(max_norm) == rec.max_norm and list(tv) == rec.tv
-        np.testing.assert_array_equal(t, dt * np.arange(41))
-        np.testing.assert_array_equal(own, np.diff(rec.tv)[2:])
-
     def test_tv_series_ends_on_the_level_past_the_guard(self):
         grid = GridSpec(256)
         s = scheme_from_id("ssp3")
